@@ -132,21 +132,26 @@ def eps_from_half_braiding(hb: HalfBraiding, origin: str = "from_half_braiding",
                            check: bool = True) -> CentreIdempotent:
     """The graded idempotent with grade-S component ``d(S)/D2 tau_S``."""
     spec = hb.spec()
-    X = hb.object
     if check:
         res = half_braiding_residual(hb)
         if res > 1e3 * spec.tol:
             raise NotHalfBraiding(res)
+    eps = _graded_idempotent(hb)
+    resid = (tube_compose(eps, eps) - eps).norm()
+    return CentreIdempotent(eps=eps, mults=_idempotent_mults(eps), origin=origin,
+                            hb=hb, idempotency_residual=resid)
+
+
+def _graded_idempotent(hb: HalfBraiding) -> TubeMorphism:
+    """The tube endomorphism of the carrier with grade-S component ``d(S)/D2 tau_S``."""
+    spec = hb.spec()
     D2 = spec.pivotal.D2
     comps = {}
     for s, m in hb.tau.items():
         comp = (spec.pivotal.d[s] / D2) * m
         if comp.norm() > spec.tol:
             comps[s] = comp
-    eps = TubeMorphism(spec, X, X, comps)
-    resid = (tube_compose(eps, eps) - eps).norm()
-    return CentreIdempotent(eps=eps, mults=_idempotent_mults(eps), origin=origin,
-                            hb=hb, idempotency_residual=resid)
+    return TubeMorphism(spec, hb.object, hb.object, comps)
 
 
 def braiding_half_braiding(spec: CategorySpec, I, J) -> HalfBraiding:
@@ -172,29 +177,12 @@ def eps_xy(spec: CategorySpec, I, J) -> CentreIdempotent:
     return ci
 
 
-def _left_action_matrix(e: TubeMorphism, Y) -> np.ndarray:
-    """Matrix of ``h -> e . h`` on ``Hom_TC(Y, src(e))``."""
-    spec = e.spec
-    _, dim = tube_layout(spec, Y, e.src)
+def _operator_matrix(spec: CategorySpec, X, Y, op) -> np.ndarray:
+    """Matrix of a linear map ``op`` on ``Hom_TC(X, Y)`` in tube_layout coordinates."""
+    _, dim = tube_layout(spec, X, Y)
     M = np.zeros((dim, dim), dtype=complex)
-    for c in range(dim):
-        v = np.zeros(dim)
-        v[c] = 1.0
-        h = tube_from_vector(spec, Y, e.src, v)
-        M[:, c] = tube_to_vector(tube_compose(e, h))
-    return M
-
-
-def _right_action_matrix(e: TubeMorphism, Y) -> np.ndarray:
-    """Matrix of ``h -> h . e`` on ``Hom_TC(dst(e), Y)``."""
-    spec = e.spec
-    _, dim = tube_layout(spec, e.dst, Y)
-    M = np.zeros((dim, dim), dtype=complex)
-    for c in range(dim):
-        v = np.zeros(dim)
-        v[c] = 1.0
-        h = tube_from_vector(spec, e.dst, Y, v)
-        M[:, c] = tube_to_vector(tube_compose(h, e))
+    for c, v in enumerate(np.eye(dim)):
+        M[:, c] = tube_to_vector(op(tube_from_vector(spec, X, Y, v)))
     return M
 
 
@@ -207,16 +195,20 @@ def _rank(M: np.ndarray, tol: float) -> int:
 
 def _idempotent_mults(e: TubeMorphism) -> dict:
     spec = e.spec
-    return {i: _rank(_left_action_matrix(e, (i,)), spec.tol)
+    return {i: _rank(_operator_matrix(spec, (i,), e.src, lambda h: tube_compose(e, h)),
+                     spec.tol)
             for i in range(spec.n_labels)}
 
 
 def idempotent_hom_dim(e: CentreIdempotent, Y, side: str) -> int:
     """dim Hom_TC(Y, e) (side='into') or dim Hom_TC(e, Y) (side='out')."""
-    spec = e.eps.spec
+    eps = e.eps
+    spec = eps.spec
     if side == "into":
-        return _rank(_left_action_matrix(e.eps, tuple(spec.word(Y))), spec.tol)
-    return _rank(_right_action_matrix(e.eps, tuple(spec.word(Y))), spec.tol)
+        M = _operator_matrix(spec, Y, eps.src, lambda h: tube_compose(eps, h))
+    else:
+        M = _operator_matrix(spec, eps.dst, Y, lambda h: tube_compose(h, eps))
+    return _rank(M, spec.tol)
 
 
 def hom_between_idempotents(e1: CentreIdempotent, e2: CentreIdempotent):
@@ -225,14 +217,8 @@ def hom_between_idempotents(e1: CentreIdempotent, e2: CentreIdempotent):
     if e2.eps.spec is not spec:
         raise ShapeMismatch("idempotents from different categories")
     X1, X2 = e1.carrier, e2.carrier
-    _, dim = tube_layout(spec, X1, X2)
-    P = np.zeros((dim, dim), dtype=complex)
-    for c in range(dim):
-        v = np.zeros(dim)
-        v[c] = 1.0
-        h = tube_from_vector(spec, X1, X2, v)
-        ph = tube_compose(e2.eps, tube_compose(h, e1.eps))
-        P[:, c] = tube_to_vector(ph)
+    P = _operator_matrix(spec, X1, X2,
+                         lambda h: tube_compose(e2.eps, tube_compose(h, e1.eps)))
     cols = _column_basis(P, spec.tol)
     return [tube_from_vector(spec, X1, X2, col) for col in cols.T]
 
@@ -275,8 +261,7 @@ def completeness_check(idems) -> dict:
     orthogonal = bool(np.array_equal(hom_dims - np.diag(np.diag(hom_dims)),
                                      np.zeros((m, m), dtype=int)))
     primitive = bool(np.array_equal(np.diag(hom_dims), np.ones(m, dtype=int)))
-    into = {(i, a): idempotent_hom_dim(e, (i,), "into")
-            for i in range(n) for a, e in enumerate(idems)}
+    into = {(i, a): e.mults[i] for i in range(n) for a, e in enumerate(idems)}
     outof = {(a, j): idempotent_hom_dim(e, (j,), "out")
              for j in range(n) for a, e in enumerate(idems)}
     lhs = np.zeros((n, n), dtype=int)
@@ -306,7 +291,7 @@ def handle_slide_check(hb: HalfBraiding, alpha: TubeMorphism,
     spec = hb.spec()
     X = hb.object
     D2 = spec.pivotal.D2
-    eps = eps_from_half_braiding(hb, check=False).eps
+    eps = _graded_idempotent(hb)
     if not mirror:
         if alpha.dst != X:
             raise ShapeMismatch("alpha must map into the half-braiding carrier")
@@ -514,7 +499,7 @@ def _center_basis(A: TubeAlgebra) -> np.ndarray:
     for y in range(dim):
         rows.append(C[y, :, :].T - C[:, y, :].T)
     M = np.concatenate(rows, axis=0)
-    _, sv, Vh = np.linalg.svd(M)
+    _, sv, Vh = np.linalg.svd(M, full_matrices=False)
     null = Vh[np.sum(sv > 1e-10 * max(1.0, sv[0])):].conj()
     return null
 
@@ -627,10 +612,9 @@ def decompose_tube_algebra(A: TubeAlgebra, seed: int = 0x5EED):
 
 def _corner_coords(A: TubeAlgebra, i: int) -> np.ndarray:
     """The unit of the (i, i) corner: the algebra unit restricted to it."""
-    v = A.unit.copy()
-    mask = np.zeros(A.dim, dtype=bool)
-    mask[A.corner_slices[(i, i)]] = True
-    v[~mask] = 0
+    v = np.zeros_like(A.unit)
+    sl = A.corner_slices[(i, i)]
+    v[sl] = A.unit[sl]
     return v
 
 
@@ -680,13 +664,13 @@ def _coords_to_tube(A: TubeAlgebra, coords: np.ndarray) -> tuple:
     coords = np.asarray(coords).copy()
     scale = float(np.abs(coords).max())
     coords[np.abs(coords) < 1e-9 * scale] = 0
-    parts = A.element(coords)
-    if len(parts) != 1:
+    corners = [key for key, sl in A.corner_slices.items() if np.any(coords[sl])]
+    if len(corners) != 1:
         raise DecompositionFailed("refined idempotent is not corner-supported")
-    (key, t), = parts.items()
-    if key[0] != key[1]:
+    (i, j), = corners
+    if i != j:
         raise DecompositionFailed("refined idempotent is off-diagonal")
-    return key[0], t
+    return i, tube_from_vector(A.spec, (i,), (i,), coords[A.corner_slices[(i, i)]])
 
 
 def _block_normal_form(A: TubeAlgebra, e_coords: np.ndarray, n_b: int,
@@ -766,7 +750,7 @@ def half_braiding_from_idempotent(e) -> HalfBraiding:
         nk = dims.get(k, 0)
         if not nk:
             continue
-        P = _left_action_matrix(eps, (k,))
+        P = _operator_matrix(spec, (k,), X, lambda h: tube_compose(eps, h))
         cols = _column_basis(P, spec.tol)
         if cols.shape[1] != nk:
             raise SplitFailed(

@@ -117,25 +117,20 @@ def zero_tube(spec: CategorySpec, X, Y) -> TubeMorphism:
 def tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
     """Annular stacking, resolved into simple grades.
 
-    For each output grade T this sums, over grades S of g, R of f and the
-    dual-basis pairs (b, b*) of Hom(T, S ++ R), the conjugation of
-    ``(g_S (x) id_R) . (id_S (x) f_R)`` by b and b*.
+    Sums, over grades S of g and R of f, the :func:`lift` graded by
+    ``(S, R)`` of ``(g_S (x) id_R) . (id_S (x) f_R)``.
     """
     spec = f.spec
     if g.spec is not spec:
         raise ShapeMismatch("tube morphisms from different categories")
     if f.dst != g.src:
         raise ShapeMismatch(f"cannot compose {g.src} after {f.dst}")
-    X, Z = f.src, g.dst
-    out = zero_tube(spec, X, Z)
+    out = zero_tube(spec, f.src, g.dst)
     for S, gS in g.components.items():
         for R, fR in f.components.items():
             mid = compose(tensor(gS, identity(spec, (R,))),
                           tensor(identity(spec, (S,)), fR))
-            for T, b, bstar in decompose_resolution(spec, (S, R)):
-                term = compose(tensor(identity(spec, Z), bstar),
-                               compose(mid, tensor(b, identity(spec, X))))
-                out = out + TubeMorphism(spec, X, Z, {T: term})
+            out = out + lift(spec, mid, (S, R))
     return out.prune()
 
 
@@ -261,10 +256,12 @@ def random_tube_morphism(spec: CategorySpec, X, Y, rng: np.random.Generator
 class TubeAlgebra:
     """Ocneanu's tube algebra ``End_TC(sum of all simples)`` in a fixed basis.
 
-    ``basis[x]`` is ``(i, j, R, k, r, c)``: a single matrix unit of the
-    grade-R component of ``Hom_TC([i], [j])``.  ``mult[x, y, z]`` holds the
-    structure constants of ``basis_x . basis_y`` (composition; zero whenever
-    the objects mismatch).
+    A coordinate vector is the concatenation over corners (i, j) of the
+    :func:`tube_layout` coordinates of ``Hom_TC([i], [j])``, which occupy
+    ``corner_slices[(i, j)]``.  ``basis[x]`` is ``(i, j, R, k, r, c)``: the
+    entry (r, c) of the grade-R, channel-k block of that corner.
+    ``mult[x, y, z]`` holds the structure constants of ``basis_x . basis_y``
+    (composition; zero whenever the objects mismatch).
     """
     spec: CategorySpec
     basis: list
@@ -275,34 +272,6 @@ class TubeAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def element(self, coords) -> dict:
-        """Group a coordinate vector into TubeMorphisms per (i, j) corner."""
-        out = {}
-        for (i, j), sl in self.corner_slices.items():
-            if sl.start == sl.stop:
-                continue
-            sub = np.zeros(len(self.basis), dtype=complex)
-            sub[sl] = np.asarray(coords)[sl]
-            if not np.abs(sub[sl]).max():
-                continue
-            t = zero_tube(self.spec, (i,), (j,))
-            for x in range(sl.start, sl.stop):
-                if not sub[x]:
-                    continue
-                t = t + sub[x] * self._basis_tube(x)
-            out[(i, j)] = t
-        return out
-
-    def _basis_tube(self, x: int) -> TubeMorphism:
-        i, j, R, k, r, c = self.basis[x]
-        spec = self.spec
-        nr = tree_dims(spec, (j, R))[k]
-        nc = tree_dims(spec, (R, i))[k]
-        blk = np.zeros((nr, nc), dtype=complex)
-        blk[r, c] = 1.0
-        return TubeMorphism(spec, (i,), (j,),
-                            {R: Morphism(spec, (R, i), (j, R), {k: blk})})
 
     def multiply(self, u, v) -> np.ndarray:
         return np.einsum("x,y,xyz->z", np.asarray(u), np.asarray(v), self.mult)
@@ -320,47 +289,32 @@ def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
     n = spec.n_labels
     basis = []
     corner_slices = {}
+    basis_tubes = {}
     for i in range(n):
         for j in range(n):
             start = len(basis)
-            entries, _ = tube_layout(spec, (i,), (j,))
+            entries, size = tube_layout(spec, (i,), (j,))
             for R, k, nr, nc, off in entries:
                 for r in range(nr):
                     for c in range(nc):
                         basis.append((i, j, R, k, r, c))
             corner_slices[(i, j)] = slice(start, len(basis))
+            basis_tubes[(i, j)] = [tube_from_vector(spec, (i,), (j,), e)
+                                   for e in np.eye(size)]
     dim = len(basis)
-    index = {}
-    for x, (i, j, R, k, r, c) in enumerate(basis):
-        index[(i, j, R, k, r, c)] = x
-
-    algebra = TubeAlgebra(spec, basis, np.zeros((dim, dim, dim), dtype=complex),
-                          np.zeros(dim, dtype=complex), corner_slices)
-
-    def coords_of(t: TubeMorphism, i: int, j: int) -> np.ndarray:
-        v = np.zeros(dim, dtype=complex)
-        entries, _ = tube_layout(spec, (i,), (j,))
-        for R, k, nr, nc, off in entries:
-            comp = t.components.get(R)
-            blk = comp.blocks.get(k) if comp is not None else None
-            if blk is None:
-                continue
-            for r in range(nr):
-                for c in range(nc):
-                    if blk[r, c]:
-                        v[index[(i, j, R, k, r, c)]] = blk[r, c]
-        return v
-
-    for y, (i, j, R, k, r, c) in enumerate(basis):
-        fy = algebra._basis_tube(y)
-        for x, (i2, j2, *_rest) in enumerate(basis):
-            if i2 != j:
-                continue
-            prod = tube_compose(algebra._basis_tube(x), fy)
-            algebra.mult[x, y] = coords_of(prod, i, j2)
+    mult = np.zeros((dim, dim, dim), dtype=complex)
+    unit = np.zeros(dim, dtype=complex)
+    for (i, j), fs in basis_tubes.items():
+        for l in range(n):
+            x0 = corner_slices[(j, l)].start
+            zs = corner_slices[(i, l)]
+            for y, f in enumerate(fs, corner_slices[(i, j)].start):
+                for x, g in enumerate(basis_tubes[(j, l)], x0):
+                    mult[x, y, zs] = tube_to_vector(tube_compose(g, f))
     for i in range(n):
-        algebra.unit += coords_of(tube_identity(spec, (i,)), i, i)
-    algebra.mult.flags.writeable = False
-    algebra.unit.flags.writeable = False
+        unit[corner_slices[(i, i)]] = tube_to_vector(tube_identity(spec, (i,)))
+    mult.flags.writeable = False
+    unit.flags.writeable = False
+    algebra = TubeAlgebra(spec, basis, mult, unit, corner_slices)
     spec._cache[key] = algebra
     return algebra

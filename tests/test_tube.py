@@ -175,6 +175,29 @@ def test_tube_algebra_dimension(specs, name, want):
                         for j in range(specs[name].n_labels))
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3"])
+def test_tube_algebra_corners_are_tube_layout_vectors(specs, rng, name):
+    # A's product on corner slices is tube_compose in tube_layout coordinates
+    spec = specs[name]
+    A = tube_algebra(spec)
+    n = spec.n_labels
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                su, sv, sw = (A.corner_slices[c] for c in ((i, j), (j, l), (i, l)))
+                u = np.zeros(A.dim, dtype=complex)
+                v = np.zeros(A.dim, dtype=complex)
+                u[su] = rng.standard_normal(su.stop - su.start)
+                v[sv] = rng.standard_normal(sv.stop - sv.start)
+                prod = A.multiply(v, u)
+                want = tube_to_vector(tube_compose(
+                    tube_from_vector(spec, (j,), (l,), v[sv]),
+                    tube_from_vector(spec, (i,), (j,), u[su])))
+                assert np.abs(prod[sw] - want).max(initial=0.0) < 1e-10
+                prod[sw] = 0
+                assert np.abs(prod).max() < 1e-10
+
+
 def test_tube_algebra_unital_associative(specs, rng):
     for spec in specs.values():
         A = tube_algebra(spec)
