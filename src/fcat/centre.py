@@ -23,9 +23,9 @@ from .diagrams import (Morphism, cap_word, compose, cup_word,
                        braid_word, tensor, trace, tree_dims, zero_morphism)
 from .errors import (DecompositionFailed, NotBraided, NotHalfBraiding,
                      NotModular, ShapeMismatch, SplitFailed)
-from .tube import (TubeAlgebra, TubeMorphism, c_morphism_inv, embed,
-                   random_tube_morphism, tube_compose, tube_from_vector,
-                   tube_layout, tube_to_vector, unembed)
+from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix, c_morphism_inv,
+                   embed, random_tube_morphism, tube_compose, tube_from_vector,
+                   tube_to_vector, unembed)
 
 __all__ = [
     "HalfBraiding", "CentreIdempotent", "ModularData",
@@ -177,15 +177,6 @@ def eps_xy(spec: CategorySpec, I, J) -> CentreIdempotent:
     return ci
 
 
-def _operator_matrix(spec: CategorySpec, X, Y, op) -> np.ndarray:
-    """Matrix of a linear map ``op`` on ``Hom_TC(X, Y)`` in tube_layout coordinates."""
-    _, dim = tube_layout(spec, X, Y)
-    M = np.zeros((dim, dim), dtype=complex)
-    for c, v in enumerate(np.eye(dim)):
-        M[:, c] = tube_to_vector(op(tube_from_vector(spec, X, Y, v)))
-    return M
-
-
 def _rank(M: np.ndarray, tol: float) -> int:
     if not M.size:
         return 0
@@ -195,20 +186,14 @@ def _rank(M: np.ndarray, tol: float) -> int:
 
 def _idempotent_mults(e: TubeMorphism) -> dict:
     spec = e.spec
-    return {i: _rank(_operator_matrix(spec, (i,), e.src, lambda h: tube_compose(e, h)),
-                     spec.tol)
+    return {i: _rank(_compose_matrix(e, (i,), True), spec.tol)
             for i in range(spec.n_labels)}
 
 
 def idempotent_hom_dim(e: CentreIdempotent, Y, side: str) -> int:
     """dim Hom_TC(Y, e) (side='into') or dim Hom_TC(e, Y) (side='out')."""
     eps = e.eps
-    spec = eps.spec
-    if side == "into":
-        M = _operator_matrix(spec, Y, eps.src, lambda h: tube_compose(eps, h))
-    else:
-        M = _operator_matrix(spec, eps.dst, Y, lambda h: tube_compose(h, eps))
-    return _rank(M, spec.tol)
+    return _rank(_compose_matrix(eps, Y, side == "into"), eps.spec.tol)
 
 
 def hom_between_idempotents(e1: CentreIdempotent, e2: CentreIdempotent):
@@ -217,8 +202,9 @@ def hom_between_idempotents(e1: CentreIdempotent, e2: CentreIdempotent):
     if e2.eps.spec is not spec:
         raise ShapeMismatch("idempotents from different categories")
     X1, X2 = e1.carrier, e2.carrier
-    P = _operator_matrix(spec, X1, X2,
-                         lambda h: tube_compose(e2.eps, tube_compose(h, e1.eps)))
+    pieces: dict = {}    # both factors act on Hom_TC(X1, X2): shared conjugators
+    P = (_compose_matrix(e2.eps, X1, True, pieces=pieces)
+         @ _compose_matrix(e1.eps, X2, False, pieces=pieces))
     cols = _column_basis(P, spec.tol)
     return [tube_from_vector(spec, X1, X2, col) for col in cols.T]
 
@@ -750,8 +736,7 @@ def half_braiding_from_idempotent(e) -> HalfBraiding:
         nk = dims.get(k, 0)
         if not nk:
             continue
-        P = _operator_matrix(spec, (k,), X, lambda h: tube_compose(eps, h))
-        cols = _column_basis(P, spec.tol)
+        cols = _column_basis(_compose_matrix(eps, (k,), True), spec.tol)
         if cols.shape[1] != nk:
             raise SplitFailed(
                 f"rank {cols.shape[1]} at channel {spec.labels[k].id} does not "

@@ -10,6 +10,7 @@ simples is Ocneanu's tube algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -118,20 +119,16 @@ def tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
     """Annular stacking, resolved into simple grades.
 
     Sums, over grades S of g and R of f, the :func:`lift` graded by
-    ``(S, R)`` of ``(g_S (x) id_R) . (id_S (x) f_R)``.
+    ``(S, R)`` of ``(g_S (x) id_R) . (id_S (x) f_R)``; computed by
+    :func:`_compose_matrix` with the single probe ``f``.
     """
     spec = f.spec
     if g.spec is not spec:
         raise ShapeMismatch("tube morphisms from different categories")
     if f.dst != g.src:
         raise ShapeMismatch(f"cannot compose {g.src} after {f.dst}")
-    out = zero_tube(spec, f.src, g.dst)
-    for S, gS in g.components.items():
-        for R, fR in f.components.items():
-            mid = compose(tensor(gS, identity(spec, (R,))),
-                          tensor(identity(spec, (S,)), fR))
-            out = out + lift(spec, mid, (S, R))
-    return out.prune()
+    v = _compose_matrix(g, f.src, True, [f])[:, 0]
+    return tube_from_vector(spec, f.src, g.dst, v).prune()
 
 
 def lift(spec: CategorySpec, alpha: Morphism, G) -> TubeMorphism:
@@ -148,11 +145,72 @@ def lift(spec: CategorySpec, alpha: Morphism, G) -> TubeMorphism:
     X = alpha.src[n:]
     Y = alpha.dst[:len(alpha.dst) - n]
     out = zero_tube(spec, X, Y)
-    for S, b, bstar in decompose_resolution(spec, G):
-        comp = compose(tensor(identity(spec, Y), bstar),
-                       compose(alpha, tensor(b, identity(spec, X))))
+    for S, bstar_Y, b_X in _conjugators(spec, G, X, Y, {}):
+        comp = compose(bstar_Y, compose(alpha, b_X))
         out = out + TubeMorphism(spec, X, Y, {S: comp})
     return out.prune()
+
+
+def _identity(spec: CategorySpec, word: tuple, pieces: dict) -> Morphism:
+    if word not in pieces:
+        pieces[word] = identity(spec, word)
+    return pieces[word]
+
+
+def _conjugators(spec: CategorySpec, G: tuple, X: tuple, Y: tuple,
+                 pieces: dict) -> list:
+    """``(S, id_Y (x) b*, b (x) id_X)`` over a dual basis ``(b, b*)`` of ``Hom(S, G)``."""
+    key = (G, X, Y)
+    if key not in pieces:
+        idX, idY = _identity(spec, X, pieces), _identity(spec, Y, pieces)
+        pieces[key] = [(S, tensor(idY, bstar), tensor(b, idX))
+                       for S, b, bstar in decompose_resolution(spec, G)]
+    return pieces[key]
+
+
+def _compose_matrix(fixed: TubeMorphism, other, left: bool, probes=None,
+                    pieces: dict | None = None) -> np.ndarray:
+    """Matrix of composing with a fixed tube morphism, in tube_layout coordinates.
+
+    With ``left`` it is ``h -> fixed . h`` on ``Hom_TC(other, fixed.src)``,
+    otherwise ``h -> h . fixed`` on ``Hom_TC(fixed.dst, other)``.  Column c
+    is the image of ``probes[c]`` (default: the tube_layout basis).  Per
+    grade pair (S, R) the fixed operand's whisker and the (b, b*)
+    conjugators are built once; a probe adds only its own whisker.
+    ``pieces`` shares conjugators and identities between calls.
+    """
+    spec = fixed.spec
+    other = tuple(spec.word(other))
+    X, Y, Z = (other, fixed.src, fixed.dst) if left else (fixed.src, fixed.dst, other)
+    P = (X, Y) if left else (Y, Z)
+    if probes is None:
+        probes = [tube_from_vector(spec, *P, e)
+                  for e in np.eye(tube_layout(spec, *P)[1])]
+    pieces = {} if pieces is None else pieces
+    entries, dim = tube_layout(spec, X, Z)
+    where = {(T, k): slice(off, off + nr * nc) for T, k, nr, nc, off in entries}
+    M = np.zeros((dim, len(probes)), dtype=complex)
+    probe_grades = sorted({R for p in probes for R in p.components})
+    pairs = (product(sorted(fixed.components), probe_grades) if left
+             else product(probe_grades, sorted(fixed.components)))
+    for S, R in pairs:
+        idS, idR = _identity(spec, (S,), pieces), _identity(spec, (R,), pieces)
+        conj = _conjugators(spec, (S, R), X, Z, pieces)
+        if left:    # fixed g_S (x) id_R, probe id_S (x) f_R
+            whisker = tensor(fixed.components[S], idR)
+            terms = [(T, compose(out, whisker), into) for T, out, into in conj]
+        else:       # fixed id_S (x) f_R, probe g_S (x) id_R
+            whisker = tensor(idS, fixed.components[R])
+            terms = [(T, out, compose(whisker, into)) for T, out, into in conj]
+        for c, p in enumerate(probes):
+            pc = p.components.get(R if left else S)
+            if pc is None:
+                continue
+            w = tensor(idS, pc) if left else tensor(pc, idR)
+            for T, out, into in terms:
+                for k, blk in compose(out, compose(w, into)).blocks.items():
+                    M[where[(T, k)], c] += blk.reshape(-1)
+    return M
 
 
 def c_morphism(spec: CategorySpec, G, X) -> TubeMorphism:
@@ -274,10 +332,15 @@ class TubeAlgebra:
         return len(self.basis)
 
     def multiply(self, u, v) -> np.ndarray:
-        return np.einsum("x,y,xyz->z", np.asarray(u), np.asarray(v), self.mult)
+        return np.asarray(v) @ self._left_rows(u)
 
     def left_mult_matrix(self, u) -> np.ndarray:
-        return np.einsum("x,xyz->zy", np.asarray(u), self.mult)
+        return self._left_rows(u).T
+
+    def _left_rows(self, u) -> np.ndarray:
+        """Row y holds ``u . basis_y``: one matmul with ``mult`` read as (dim, dim**2)."""
+        dim = self.dim
+        return (np.asarray(u) @ self.mult.reshape(dim, dim * dim)).reshape(dim, dim)
 
 
 def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
@@ -304,13 +367,16 @@ def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
     dim = len(basis)
     mult = np.zeros((dim, dim, dim), dtype=complex)
     unit = np.zeros(dim, dtype=complex)
-    for (i, j), fs in basis_tubes.items():
+    for i in range(n):
         for l in range(n):
-            x0 = corner_slices[(j, l)].start
+            pieces: dict = {}   # every product into corner (i, l) shares its conjugators
             zs = corner_slices[(i, l)]
-            for y, f in enumerate(fs, corner_slices[(i, j)].start):
+            for j in range(n):
+                ys = corner_slices[(i, j)]
+                x0 = corner_slices[(j, l)].start
                 for x, g in enumerate(basis_tubes[(j, l)], x0):
-                    mult[x, y, zs] = tube_to_vector(tube_compose(g, f))
+                    mult[x, ys, zs] = _compose_matrix(
+                        g, (i,), True, basis_tubes[(i, j)], pieces).T
     for i in range(n):
         unit[corner_slices[(i, i)]] = tube_to_vector(tube_identity(spec, (i,)))
     mult.flags.writeable = False

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from fcat.category import DATA_DIR
+from fcat import cli
+from fcat.category import DATA_DIR, load_category
 from fcat.cli import run
+from su2k import su2k_document
 
 
 def _run(capsys, *argv):
@@ -147,3 +149,20 @@ def test_tol_flag(capsys):
     code, rep = _run(capsys, "validate", _data("fibonacci"), "--tol", "1e-7")
     assert code == 0
     assert rep["tol"] == 1e-7
+
+
+def test_check_leaves_only_the_known_cache_kinds(tmp_path, monkeypatch):
+    # composition pieces live for one call, never in the category's cache
+    path = tmp_path / "su2_2.json"
+    path.write_text(json.dumps(su2k_document(2)))
+    loaded = []
+
+    def load(*args, **kwargs):
+        loaded.append(load_category(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_category", load)
+    assert run(["check", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    kinds = {key if isinstance(key, str) else key[0] for key in loaded[0]._cache}
+    assert kinds == {"trees", "tree_index", "factor", "factor_inv", "fmat",
+                     "rmat", "bend_scalars", "tube_layout", "tube_algebra"}

@@ -6,27 +6,13 @@ cup/cap normalization, modular data and block decomposition away from the
 unitary-gauge comfort zone of the bundled examples.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from fcat import (completeness_check, decompose_tube_algebra,
                   eps_from_half_braiding, eps_xy, half_braiding_from_idempotent,
-                  killing_ring_eval, load_category, load_builtin, modular_data,
+                  killing_ring_eval, load_builtin, modular_data,
                   t_matrix, tube_algebra, validate_hexagon, validate_pentagon)
-from su2k import su2k_document
-
-
-@pytest.fixture(scope="module")
-def su2(tmp_path_factory):
-    specs = {}
-    root = tmp_path_factory.mktemp("su2k")
-    for k in (2, 3):
-        p = root / f"su2_{k}.json"
-        p.write_text(json.dumps(su2k_document(k)))
-        specs[k] = load_category(p)
-    return specs
 
 
 def test_loads_and_validates(su2):

@@ -5,7 +5,26 @@ from fcat import (ShapeMismatch, c_morphism, c_morphism_inv, compose, embed,
                   hom_dim, identity, lift, random_morphism,
                   random_tube_morphism, tensor, tube_algebra, tube_compose,
                   tube_hom_dim, tube_identity, unembed)
-from fcat.tube import TubeMorphism, tube_from_vector, tube_layout, tube_to_vector
+from fcat.tube import (TubeMorphism, _compose_matrix, tube_from_vector,
+                       tube_layout, tube_to_vector)
+
+
+def oracle_tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
+    """Diagrammatic annular stacking: over grades S of g and R of f, the
+    lift graded by (S, R) of ``(g_S (x) id_R) . (id_S (x) f_R)``."""
+    spec = f.spec
+    out = TubeMorphism(spec, f.src, g.dst, {})
+    for S, gS in g.components.items():
+        for R, fR in f.components.items():
+            mid = compose(tensor(gS, identity(spec, (R,))),
+                          tensor(identity(spec, (S,)), fR))
+            out = out + lift(spec, mid, (S, R))
+    return out.prune()
+
+
+@pytest.fixture(scope="module")
+def oracle_specs(specs, su2):
+    return {**specs, **{f"su2_{k}": spec for k, spec in su2.items()}}
 
 
 @pytest.mark.parametrize("name,X,Y,want", [
@@ -61,6 +80,45 @@ def test_tube_unit_and_associativity(specs, rng):
             res = (tube_compose(tube_compose(h, g), f)
                    - tube_compose(h, tube_compose(g, f))).norm()
             assert res < 1e-8
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3",
+                                  "su2_2", "su2_3"])
+def test_batched_composition_matches_diagrammatic_oracle(oracle_specs, rng, name):
+    # tube_compose, and every column of the left and right composition
+    # matrices, agree with the diagrammatic stacking on words of length 0-2
+    spec = oracle_specs[name]
+    n = spec.n_labels
+
+    def basis(X, Y):
+        return [tube_from_vector(spec, X, Y, e)
+                for e in np.eye(tube_layout(spec, X, Y)[1])]
+
+    cases = []
+    for lengths in [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 1, 1), (2, 2, 2)]:
+        for _ in range(20):     # prefer words where neither factor's space is zero
+            X, Y, Z = (tuple(int(a) for a in rng.integers(0, n, size=m))
+                       for m in lengths)
+            if tube_layout(spec, X, Y)[1] and tube_layout(spec, Y, Z)[1]:
+                break
+        cases.append((X, Y, Z))
+    for X, Y, Z in cases:
+        f = random_tube_morphism(spec, X, Y, rng)
+        g = random_tube_morphism(spec, Y, Z, rng)
+        assert (tube_compose(g, f) - oracle_tube_compose(g, f)).norm() < 1e-10
+        out_dim = tube_layout(spec, X, Z)[1]
+        left = _compose_matrix(g, X, True)
+        probes = basis(X, Y)
+        assert left.shape == (out_dim, len(probes))
+        for c, h in enumerate(probes):
+            want = tube_to_vector(oracle_tube_compose(g, h))
+            assert np.abs(left[:, c] - want).max(initial=0.0) < 1e-10
+        right = _compose_matrix(f, Z, False)
+        probes = basis(Y, Z)
+        assert right.shape == (out_dim, len(probes))
+        for c, h in enumerate(probes):
+            want = tube_to_vector(oracle_tube_compose(h, f))
+            assert np.abs(right[:, c] - want).max(initial=0.0) < 1e-10
 
 
 def test_tube_compose_shape_mismatch(fib, rng):
