@@ -7,7 +7,7 @@ braiding, the two-sided crossing pattern on ``I ++ J`` produces the family
 ``eps_xy(I, J)`` whose Hom-spaces, orthogonality and completeness encode
 whether the category is modular.  Conversely, arbitrary idempotents are
 produced by block-decomposing the tube algebra and their half-braidings
-are extracted by rotating through the tube and splitting channel-wise.
+are read off the grades of the tube morphisms in their image.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from itertools import product
 import numpy as np
 
 from .category import CategorySpec, word_channels
-from .diagrams import (Morphism, cap_word, compose, cup_word,
+from .diagrams import (Morphism, basis_projection, cap_word, compose, cup_word,
                        decompose_resolution, identity, ptrace_left,
                        braid_word, tensor, trace, tree_dims, zero_morphism)
 from .errors import (DecompositionFailed, NotBraided, NotHalfBraiding,
                      NotModular, ShapeMismatch, SplitFailed)
-from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix, c_morphism_inv,
-                   embed, random_tube_morphism, tube_compose, tube_from_vector,
-                   tube_to_vector, unembed)
+from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix,
+                   random_tube_morphism, tube_compose, tube_from_vector,
+                   tube_layout, tube_to_vector)
 
 __all__ = [
     "HalfBraiding", "CentreIdempotent", "ModularData",
@@ -676,9 +676,7 @@ def _block_normal_form(A: TubeAlgebra, e_coords: np.ndarray, n_b: int,
         if abs(c) < 1e-6 or np.abs(vt - c * ve).max() > 1e-6 * max(1, abs(c)):
             continue
         e_W = (1.0 / c) * tube_compose(y, x)
-        if (tube_compose(e_W, e_W) - e_W).norm() > 1e3 * spec.tol:
-            continue
-        try:
+        try:    # also rejects an e_W that is not idempotent
             hb = half_braiding_from_idempotent(e_W)
         except SplitFailed:
             continue
@@ -711,13 +709,14 @@ def _centre_twist(hb: HalfBraiding, mults: dict) -> complex:
 # half-braidings from idempotents
 
 def half_braiding_from_idempotent(e) -> HalfBraiding:
-    """Extract the half-braiding carried by a full-multiplicity idempotent.
+    """Read the half-braiding off the image of a full-multiplicity idempotent.
 
-    The carrier word must realize the whole underlying object (the rank of
-    the idempotent on ``Hom_TC([k], X)`` equals the number of channels of X
-    at k); the splitting is fixed channel-wise by deterministic column
-    pivoting, the rotation maps are conjugated through it, and the result
-    is assembled as honest morphisms ``s ++ X -> X ++ s``.
+    The carrier X must realize the whole underlying object: the rank of the
+    idempotent on ``Hom_TC([k], X)`` equals the number of channels of X at
+    k.  Then each tree-basis ``f_a : k -> X`` is the plain part of exactly
+    one ``v_a`` in that image, whose grade-s component is
+    ``d(s) tau_s . (id_s (x) f_a)``; so ``tau_s`` is the sum over k and a
+    of ``v_a[s] . (id_s (x) p_a) / d(s)``, with ``p_a : X -> k`` dual to f_a.
     """
     eps = e.eps if isinstance(e, CentreIdempotent) else e
     spec = eps.spec
@@ -726,83 +725,24 @@ def half_braiding_from_idempotent(e) -> HalfBraiding:
     X = eps.src
     if (tube_compose(eps, eps) - eps).norm() > 1e3 * spec.tol:
         raise SplitFailed("input is not idempotent at tolerance")
-    n = spec.n_labels
-    dims = tree_dims(spec, X)
-
-    v_basis = {}
-    iota = {}
-    pi = {}
-    for k in range(n):
-        nk = dims.get(k, 0)
-        if not nk:
-            continue
+    tau = {s: zero_morphism(spec, (s,) + X, X + (s,)) for s in range(spec.n_labels)}
+    for k, nk in sorted(tree_dims(spec, X).items()):
         cols = _column_basis(_compose_matrix(eps, (k,), True), spec.tol)
         if cols.shape[1] != nk:
             raise SplitFailed(
                 f"rank {cols.shape[1]} at channel {spec.labels[k].id} does not "
                 f"fill the carrier ({nk} channels)")
-        vs = [tube_from_vector(spec, (k,), X, cols[:, a]) for a in range(nk)]
-        v_basis[k] = vs
-        ik = np.zeros((nk, nk), dtype=complex)
-        for a, v in enumerate(vs):
-            ik[:, a] = unembed(v).block(k)[:, 0]
-        sv = np.linalg.svd(ik, compute_uv=False)
+        off = next(o for R, _, _, _, o in tube_layout(spec, (k,), X)[0]
+                   if R == spec.unit)
+        iota = cols[off:off + nk]    # the plain parts: unit-grade rows
+        sv = np.linalg.svd(iota, compute_uv=False)
         if sv.min() < 1e-12 * max(1.0, sv.max()) or sv.max() / sv.min() > 1e12:
             raise SplitFailed("plain part of the splitting is numerically singular")
-        iota[k] = ik
-        pi[k] = np.linalg.inv(ik)
-
-    tau = {}
-    for s in range(n):
-        sd = spec.dual(s)
-        blocks: dict = {}
-        for k in range(n):
-            dom = []
-            dom_meta = []
-            for l in sorted(v_basis):
-                for _, u, ustar in decompose_resolution(spec, (s, l), channel=k):
-                    phi = compose(tensor(cap_word(spec, (s,)), identity(spec, (l,))),
-                                  tensor(identity(spec, (sd,)), u))
-                    for b, v in enumerate(v_basis[l]):
-                        dom.append(tube_compose(v, embed(phi)))
-                        dom_meta.append((l, b, ustar))
-            cod = []
-            cod_meta = []
-            for lp in sorted(v_basis):
-                for _, w, wstar in decompose_resolution(spec, (lp, s), channel=k):
-                    psi = compose(tensor(identity(spec, (lp,)), cap_word(spec, (sd,))),
-                                  tensor(w, identity(spec, (sd,))))
-                    for bp, vp in enumerate(v_basis[lp]):
-                        cod.append(tube_compose(vp, embed(psi)))
-                        cod_meta.append((lp, bp, w))
-            if not dom:
-                continue
-            if not cod:
-                raise SplitFailed("rotation target space is empty but source is not")
-            rot = c_morphism_inv(spec, (sd,), (k,))
-            Mcod = np.array([tube_to_vector(g) for g in cod]).T
-            for col, h in enumerate(dom):
-                img = tube_to_vector(tube_compose(h, rot))
-                coef = np.linalg.lstsq(Mcod, img, rcond=None)[0]
-                resid = np.linalg.norm(Mcod @ coef - img)
-                if resid > 1e-6 * max(1.0, np.linalg.norm(img)):
-                    raise SplitFailed("rotated vector leaves the idempotent image")
-                l, b, ustar = dom_meta[col]
-                for row, cval in enumerate(coef):
-                    if abs(cval) < 1e-13:
-                        continue
-                    lp, bp, w = cod_meta[row]
-                    blocks.setdefault((lp, l), {}).setdefault((bp, b),
-                        zero_morphism(spec, (s, l), (lp, s)))
-                    blocks[(lp, l)][(bp, b)] = blocks[(lp, l)][(bp, b)] \
-                        + cval * compose(w, ustar)
-        acc = zero_morphism(spec, (s,) + X, X + (s,))
-        for (lp, l), cell in blocks.items():
-            for (bp, b), block_m in cell.items():
-                inj = Morphism(spec, (lp,), X, {lp: iota[lp][:, bp:bp + 1]})
-                prj = Morphism(spec, X, (l,), {l: pi[l][b:b + 1, :]})
-                acc = acc + compose(tensor(inj, identity(spec, (s,))),
-                                    compose(block_m,
-                                            tensor(identity(spec, (s,)), prj)))
-        tau[s] = acc
+        V = cols @ np.linalg.inv(iota)    # column a is v_a
+        for a in range(nk):
+            p = basis_projection(spec, X, k, a)
+            v = tube_from_vector(spec, (k,), X, V[:, a])
+            for s, v_s in v.components.items():
+                tau[s] = tau[s] + (1.0 / spec.pivotal.d[s]) * compose(
+                    v_s, tensor(identity(spec, (s,)), p))
     return HalfBraiding(object=X, tau=tau)

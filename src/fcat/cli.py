@@ -85,10 +85,10 @@ def cmd_tube_dim(spec, args, checks):
 def cmd_tube_algebra(spec, args, checks):
     A = tube_algebra(spec)
     rows = []
-    nz = np.argwhere(np.abs(A.mult) > 1e-14)
-    for x, y, z in nz:
-        val = A.mult[x, y, z]
-        rows.append([int(x), int(y), int(z), val.real, val.imag])
+    for x, slab in enumerate(A.mult):   # one slab at a time: no dim**3 temporaries
+        for y, z in np.argwhere(np.abs(slab) > 1e-14):
+            val = slab[y, z]
+            rows.append([x, int(y), int(z), val.real, val.imag])
     basis = [{"source": spec.labels[i].id, "target": spec.labels[j].id,
               "grade": spec.labels[R].id, "channel": spec.labels[k].id,
               "row": int(r), "col": int(c)}

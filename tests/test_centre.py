@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fcat import (NotBraided, NotHalfBraiding, NotModular,
+from fcat import (NotBraided, NotHalfBraiding, NotModular, SplitFailed,
                   braiding_half_braiding, completeness_check,
                   decompose_tube_algebra, eps_from_half_braiding, eps_xy,
                   half_braiding_from_idempotent, half_braiding_residual,
@@ -13,7 +13,7 @@ from fcat import (NotBraided, NotHalfBraiding, NotModular,
                   modular_data, random_tube_morphism, s_matrix, slice_checks,
                   t_matrix, tube_algebra, tube_compose, tube_identity)
 from fcat.centre import HalfBraiding
-from fcat.tube import tube_hom_dim
+from fcat.tube import tube_hom_dim, tube_to_vector
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -310,6 +310,40 @@ def test_round_trip_with_explicit_unit_letter(fib):
     assert half_braiding_residual(hb) < 1e-9
     rebuilt = eps_from_half_braiding(hb)
     assert (rebuilt.eps - ci.eps).norm() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "su2_2", "su2_3"])
+def test_extraction_from_non_normal_form_idempotents(specs, su2, name):
+    # e2 = r.e.s/lambda has the image of e = eps_xy(I, J) but is not in normal
+    # form; the normal form P rebuilt from the half-braiding extracted from e2
+    # must have the same image: e2.P = P and P.e2 = e2
+    spec = su2[int(name[-1])] if name.startswith("su2") else specs[name]
+    rng = np.random.default_rng(7)
+    for I in range(spec.n_labels):
+        for J in range(spec.n_labels):
+            e = eps_xy(spec, (I,), (J,)).eps
+            r = random_tube_morphism(spec, e.src, e.src, rng)
+            s = random_tube_morphism(spec, e.src, e.src, rng)
+            ve = tube_to_vector(e)
+            esre = tube_to_vector(tube_compose(e, tube_compose(s, tube_compose(r, e))))
+            lam = (ve.conj() @ esre) / (ve.conj() @ ve)
+            assert np.abs(esre - lam * ve).max() < 1e-9 * abs(lam)   # e is primitive
+            e2 = (1.0 / lam) * tube_compose(r, tube_compose(e, s))
+            P = eps_from_half_braiding(half_braiding_from_idempotent(e2)).eps
+            assert (tube_compose(e2, P) - P).norm() < 1e-10
+            assert (tube_compose(P, e2) - e2).norm() < 1e-10
+
+
+def test_extraction_rejects_idempotent_short_of_the_carrier(fib):
+    # the identity of tau (x) tau is idempotent, but its image is all of
+    # Hom_TC([k], X), larger than the channels of the carrier
+    with pytest.raises(SplitFailed, match="does not fill the carrier"):
+        half_braiding_from_idempotent(tube_identity(fib, ("tau", "tau")))
+
+
+def test_extraction_rejects_non_idempotent(fib):
+    with pytest.raises(SplitFailed, match="not idempotent"):
+        half_braiding_from_idempotent(2 * eps_xy(fib, ("tau",), ("tau",)).eps)
 
 
 def test_unit_idempotent_half_braiding_trivial(specs):
