@@ -377,60 +377,127 @@ def global_dimension(spec: CategorySpec) -> complex:
 
 
 def validate_pentagon(spec: CategorySpec) -> dict:
-    """Max residual of the pentagon identity by brute-force contraction.
+    """Max residual of the pentagon identity over all tree coordinates.
 
-    For every admissible label tuple the two recoupling routes
-    ``((ab)c)d -> (ab)(cd) -> a(b(cd))`` and
+    For every admissible label tuple (a, b, c, d; e) the two recoupling
+    routes ``((ab)c)d -> (ab)(cd) -> a(b(cd))`` and
     ``((ab)c)d -> (a(bc))d -> a((bc)d) -> a(b(cd))`` are compared entrywise.
+    A vertex (x, y -> z, mu) is an index into the vertices of N listed in C
+    order; the splitting-tree pairs are enumerated as arrays of vertex
+    indices, one first label ``a`` at a time, and both routes are summed
+    per pair in single numpy calls.  F-symbols are looked up in a sorted
+    table of packed vertex keys, so memory grows with the number of stored
+    symbols.  ``worst_instance`` is the first (a, b, c, d, e) in C order
+    whose residual is the maximum, or None when every residual is 0.
     """
-    n = spec.n_labels
-    worst = 0.0
-    worst_at = None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for dd in range(n):
-                    for e in range(n):
-                        res = _pentagon_residual(spec, a, b, c, dd, e)
-                        if res > worst:
-                            worst = res
-                            worst_at = tuple(spec.labels[x].id for x in (a, b, c, dd, e))
-    return {"max_residual": worst, "worst_instance": worst_at}
-
-
-def _pentagon_residual(spec, a, b, c, d, e) -> float:
-    """|two-step - three-step| maximized over tree coordinates, for (a,b,c,d; e)."""
     N = spec.rules.N
     n = spec.n_labels
+    counts = N.ravel()
+    first = (np.cumsum(counts) - counts).reshape(N.shape)   # vertex of (x, y, z, 0)
+    vx, vy, vz = (np.repeat(t, counts[counts > 0]) for t in np.nonzero(N))
+    per_x = N.sum(axis=(1, 2))
+    per_xy = N.sum(axis=2)
+    fsym = _vertex_keyed_f(spec, first, len(vx))
 
-    def fsym(x, y, z, w, key_l, key_r):
-        return spec.F.entries.get((x, y, z, w), {}).get(key_l + key_r, 0.0)
+    # (c, d -> h)(b, h -> l), the start of every right tree; vertices
+    # (b, h -> l) are listed by their second label h
+    per_y = N.sum(axis=(0, 2))
+    by_y = np.argsort(vy, kind="stable")
+    v4, k = _expand(per_y[vz])
+    cd_bh = [v4, by_y[(np.cumsum(per_y) - per_y)[vz[v4]] + k]]
 
-    worst = 0.0
-    for f in range(n):
-        for al in range(N[a, b, f]):
-            for g in range(n):
-                for be in range(N[f, c, g]):
-                    for ga in range(N[g, d, e]):
-                        for h in range(n):
-                            for rho in range(N[c, d, h]):
-                                for l in range(n):
-                                    for ka in range(N[b, h, l]):
-                                        for om in range(N[a, l, e]):
-                                            two = sum(
-                                                fsym(f, c, d, e, (g, be, ga), (h, rho, sig))
-                                                * fsym(a, b, h, e, (f, al, sig), (l, ka, om))
-                                                for sig in range(N[f, h, e]))
-                                            three = sum(
-                                                fsym(a, b, c, g, (f, al, be), (m, mu, nu))
-                                                * fsym(a, m, d, e, (g, nu, ga), (l, pi, om))
-                                                * fsym(b, c, d, l, (m, mu, pi), (h, rho, ka))
-                                                for m in range(n)
-                                                for mu in range(N[b, c, m])
-                                                for nu in range(N[a, m, g])
-                                                for pi in range(N[m, d, l]))
-                                            worst = max(worst, abs(two - three))
-    return worst
+    worst = np.zeros((n, n ** 4))
+    for a in range(n):
+        # left trees (a, b -> f)(f, c -> g)(g, d -> e)
+        v1 = first[a, 0, 0] + np.arange(per_x[a])
+        v1, v2 = _extend([v1], first[vz[v1], 0, 0], per_x[vz[v1]])
+        v1, v2, v3 = _extend([v1, v2], first[vz[v2], 0, 0], per_x[vz[v2]])
+        # right trees (c, d -> h)(b, h -> l)(a, l -> e)
+        l = vz[cd_bh[1]]
+        v4, v5, v6 = _extend(cd_bh, first[a, l, 0], per_xy[a, l])
+        # pair every left tree with every right tree of the same (b, c, d, e)
+        left_key = ((vy[v1] * n + vy[v2]) * n + vy[v3]) * n + vz[v3]
+        right_key = ((vx[v5] * n + vx[v4]) * n + vy[v4]) * n + vz[v6]
+        by_key = np.argsort(right_key, kind="stable")
+        per_key = np.bincount(right_key, minlength=n ** 4)
+        t, k = _expand(per_key[left_key])
+        u = by_key[(np.cumsum(per_key) - per_key)[left_key][t] + k]
+        key = left_key[t]
+        v1, v2, v3, v4, v5, v6 = v1[t], v2[t], v3[t], v4[u], v5[u], v6[u]
+        b, c, d, e, f, g, h, l = vy[v1], vy[v2], vy[v3], vz[v3], vz[v1], vz[v2], vz[v4], vz[v5]
+        pair = np.arange(len(key))
+
+        # two-step route: sum over sigma in V(f, h; e)
+        t, vs = _extend([pair], first[f, h, e], N[f, h, e])
+        prod = fsym(v2[t], v3[t], v4[t], vs) * fsym(v1[t], vs, v5[t], v6[t])
+        two = _bin_sum(t, prod, len(key))
+
+        # three-step route: sum over (m, mu) in V(b, c; m), nu in V(a, m; g)
+        # and pi in V(m, d; l), in that nesting order
+        t, vm = _extend([pair], first[b, c, 0], per_xy[b, c])
+        m = vz[vm]
+        t, vm, vn = _extend([t, vm], first[a, m, g[t]], N[a, m, g[t]])
+        m = vz[vm]
+        t, vm, vn, vp = _extend([t, vm, vn], first[m, d[t], l[t]], N[m, d[t], l[t]])
+        prod = (fsym(v1[t], v2[t], vm, vn) * fsym(vn, v3[t], vp, v6[t])
+                * fsym(vm, vp, v4[t], v5[t]))
+        three = _bin_sum(t, prod, len(key))
+
+        # fmax skips NaN, as the comparison in a running maximum would
+        np.fmax.at(worst[a], key, np.abs(two - three))
+
+    at = int(np.argmax(worst))
+    if not worst.flat[at] > 0:
+        return {"max_residual": 0.0, "worst_instance": None}
+    labels = np.unravel_index(at, (n,) * 5)
+    return {"max_residual": float(worst.flat[at]),
+            "worst_instance": tuple(spec.labels[int(x)].id for x in labels)}
+
+
+def _expand(counts):
+    """Row index and offset within the row for ``counts[i]`` copies of row i."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+
+
+def _extend(cols, start, count):
+    """Rows given as columns, each row followed by each of ``count[i]``
+    consecutive vertices from ``start[i]`` in a new last column."""
+    r, k = _expand(count)
+    return [c[r] for c in cols] + [start[r] + k]
+
+
+def _bin_sum(rows, values, size):
+    """Complex sums of ``values`` per row, accumulated in array order."""
+    return (np.bincount(rows, values.real, size)
+            + 1j * np.bincount(rows, values.imag, size))
+
+
+def _vertex_keyed_f(spec: CategorySpec, first: np.ndarray, n_vertices: int):
+    """F-symbol lookup by the four vertices (ab->e)(ec->d) | (bc->f)(af->d).
+
+    The returned function maps four vertex-index arrays to the symbols,
+    with 0 where none is stored.
+    """
+    rows = [key + lab for lab, block in spec.F.entries.items() for key in block]
+    vals = [v for block in spec.F.entries.values() for v in block.values()]
+    e, al, be, f, ga, de, a, b, c, d = np.array(rows, dtype=np.int64).reshape(-1, 10).T
+
+    def pack(w, x, y, z):
+        return ((w * n_vertices + x) * n_vertices + y) * n_vertices + z
+
+    keys = pack(first[a, b, e] + al, first[e, c, d] + be,
+                first[b, c, f] + ga, first[a, f, d] + de)
+    order = np.argsort(keys)
+    # a sentinel above every packed key keeps searchsorted in range
+    keys = np.append(keys[order], np.iinfo(np.int64).max)
+    vals = np.append(np.array(vals, dtype=complex)[order], 0)
+
+    def lookup(w, x, y, z):
+        q = pack(w, x, y, z)
+        pos = np.searchsorted(keys, q)
+        return np.where(keys[pos] == q, vals[pos], 0)
+    return lookup
 
 
 def braid_coeff(spec: CategorySpec, x: int, y: int, e: int, under: bool = False) -> np.ndarray:
@@ -453,23 +520,42 @@ def validate_hexagon(spec: CategorySpec) -> dict:
         raise NotBraided(f"category {spec.name!r} has no R-symbols")
     n = spec.n_labels
     worst = 0.0
+    memo: dict = {}   # inverted F blocks and braid coefficients of this call
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    worst = max(worst, _hexagon_residual(spec, a, b, c, d, under=False))
-                    worst = max(worst, _hexagon_residual(spec, a, b, c, d, under=True))
+                    for under in (False, True):
+                        worst = max(worst, _hexagon_residual(spec, a, b, c, d, under, memo))
     return {"max_residual": worst}
 
 
-def _hexagon_residual(spec, a, b, c, d, under: bool) -> float:
-    """One hexagon orientation as an operator identity for (a; b, c; total d)."""
+def _hexagon_residual(spec, a, b, c, d, under: bool, memo: dict | None = None) -> float:
+    """One hexagon orientation as an operator identity for (a; b, c; total d).
+
+    ``memo`` keeps inverted F blocks and braid coefficients for reuse across
+    the calls that share it; it must not outlive ``spec``'s data.
+    """
     N = spec.rules.N
+    memo = {} if memo is None else memo
     F_abc, lhs_abc, rhs_abc = spec.F.matrix(spec, a, b, c, d)
     if not len(rhs_abc):
         return 0.0
     F_bac, lhs_bac, rhs_bac = spec.F.matrix(spec, b, a, c, d)
-    F_bca, lhs_bca, rhs_bca = spec.F.matrix(spec, b, c, a, d)
+    rhs_bca = spec.F.matrix(spec, b, c, a, d)[2]
+
+    def memoized(key, make):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def inv_ft(x, y, z):
+        return memoized(("inv_ft", x, y, z, d),
+                        lambda: np.linalg.inv(spec.F.matrix(spec, x, y, z, d)[0].T))
+
+    def braid(x, y, e):
+        return memoized(("braid", x, y, e, under),
+                        lambda: braid_coeff(spec, x, y, e, under))
 
     def block_on_slot(basis_in, basis_out, pick, coeff):
         """Dense matrix acting on the vertex slot selected by ``pick``."""
@@ -489,16 +575,16 @@ def _hexagon_residual(spec, a, b, c, d, under: bool) -> float:
                   for ga in range(N[b, c, f]) for nu in range(N[f, a, d])]
     D = block_on_slot(rhs_abc, tgt_direct,
                       lambda t: (t[2], t[1]),
-                      lambda f: braid_coeff(spec, a, f, d, under))
+                      lambda f: braid(a, f, d))
 
     # stepwise: F^-1, braid(a,b) on alpha-slot, F, braid(a,c) on gamma-slot, F^-1
     B1 = block_on_slot(lhs_abc, lhs_bac,
                        lambda t: (t[1], t[2]),
-                       lambda e: braid_coeff(spec, a, b, e, under))
+                       lambda e: braid(a, b, e))
     B2 = block_on_slot(rhs_bac, rhs_bca,
                        lambda t: (t[1], t[2]),
-                       lambda g: braid_coeff(spec, a, c, g, under))
-    H = np.linalg.inv(F_bca.T) @ B2 @ F_bac.T @ B1 @ np.linalg.inv(F_abc.T)
+                       lambda g: braid(a, c, g))
+    H = inv_ft(b, c, a) @ B2 @ F_bac.T @ B1 @ inv_ft(a, b, c)
     if D.shape != H.shape:
         return 1.0
     return float(np.abs(D - H).max())

@@ -129,8 +129,12 @@ class ModularData:
 # idempotents from half-braidings
 
 def eps_from_half_braiding(hb: HalfBraiding, origin: str = "from_half_braiding",
-                           check: bool = True) -> CentreIdempotent:
-    """The graded idempotent with grade-S component ``d(S)/D2 tau_S``."""
+                           check: bool = True, mults: dict | None = None) -> CentreIdempotent:
+    """The graded idempotent with grade-S component ``d(S)/D2 tau_S``.
+
+    ``mults`` may pass the multiplicities already measured on an isomorphic
+    idempotent; they are computed from the graded idempotent otherwise.
+    """
     spec = hb.spec()
     if check:
         res = half_braiding_residual(hb)
@@ -138,7 +142,9 @@ def eps_from_half_braiding(hb: HalfBraiding, origin: str = "from_half_braiding",
             raise NotHalfBraiding(res)
     eps = _graded_idempotent(hb)
     resid = (tube_compose(eps, eps) - eps).norm()
-    return CentreIdempotent(eps=eps, mults=_idempotent_mults(eps), origin=origin,
+    if mults is None:
+        mults = _idempotent_mults(eps)
+    return CentreIdempotent(eps=eps, mults=mults, origin=origin,
                             hb=hb, idempotency_residual=resid)
 
 
@@ -680,7 +686,7 @@ def _block_normal_form(A: TubeAlgebra, e_coords: np.ndarray, n_b: int,
             hb = half_braiding_from_idempotent(e_W)
         except SplitFailed:
             continue
-        ci = eps_from_half_braiding(hb, origin="from_block_decomposition")
+        ci = eps_from_half_braiding(hb, origin="from_block_decomposition", mults=mults)
         ci.block_size = n_b
         ci.twist = _centre_twist(hb, ci.mults)
         return ci

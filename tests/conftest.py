@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from fcat import load_builtin, load_category
+from fcat.category import CategorySpec, FSymbolTable, FusionRules, Label, PivotalData
 from su2k import su2k_document
 
 NAMES = ["fibonacci", "ising", "vec_z2", "vec_z3"]
@@ -26,6 +28,53 @@ def su2(tmp_path_factory):
         p.write_text(json.dumps(su2k_document(k)))
         out[k] = load_category(p)
     return out
+
+
+@pytest.fixture(scope="session")
+def s3(tmp_path_factory):
+    """Vec_S3: pointed on the symmetric group, non-commutative fusion."""
+    perms = list(itertools.permutations(range(3)))
+    name = {p: f"g{idx}" for idx, p in enumerate(perms)}
+
+    def mul(p, q):
+        return tuple(p[q[x]] for x in range(3))
+
+    def inv(p):
+        out = [0] * 3
+        for i, v in enumerate(p):
+            out[v] = i
+        return tuple(out)
+
+    ids = [name[p] for p in perms]
+    doc = {"name": "vec_s3", "labels": ids, "unit": name[(0, 1, 2)],
+           "dual": {name[p]: name[inv(p)] for p in perms},
+           "N": [[name[p], name[q], name[mul(p, q)], 1]
+                 for p in perms for q in perms],
+           "F": [[name[p], name[q], name[r], name[mul(mul(p, q), r)],
+                  name[mul(p, q)], name[mul(q, r)], 0, 0, 0, 0, 1.0, 0.0]
+                 for p in perms for q in perms for r in perms],
+           "dims": {i: [1.0, 0.0] for i in ids}}
+    path = tmp_path_factory.mktemp("s3") / "vec_s3.json"
+    path.write_text(json.dumps(doc))
+    return load_category(path)
+
+
+@pytest.fixture(scope="session")
+def mult_ring():
+    """The fusion ring x (x) x = 1 + 2x, without F-data."""
+    N = np.zeros((2, 2, 2), dtype=int)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    N[1, 1, 1] = 2
+    # associativity: (xx)x = x + 2(1 + 2x) has the same counts as x(xx)
+    lhs = np.einsum("abe,ecd->abcd", N, N)
+    rhs = np.einsum("bcf,afd->abcd", N, N)
+    assert np.array_equal(lhs, rhs)
+    d = np.array([1.0, 1 + np.sqrt(2)], dtype=complex)
+    return CategorySpec(
+        name="mult_ring", labels=(Label("1", 0), Label("x", 1)), unit=0,
+        rules=FusionRules(N=N, dual=np.array([0, 1])),
+        F=FSymbolTable(entries={}), R=None,
+        pivotal=PivotalData(d=d, D2=complex(np.sum(d * d))), tol=1e-9)
 
 
 @pytest.fixture(scope="session")

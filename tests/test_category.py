@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -7,8 +9,9 @@ import pytest
 from fcat import (ConsistencyError, MissingData, SchemaError, UnknownLabel,
                   global_dimension, hom_dim, load_builtin, load_category,
                   validate_hexagon, validate_pentagon)
-from fcat.category import DATA_DIR
+from fcat.category import DATA_DIR, FSymbolTable
 from fcat.errors import NotBraided
+from su2k import su2k_document
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -61,6 +64,92 @@ def test_pentagon_residuals(specs, name):
     assert validate_pentagon(specs[name])["max_residual"] < 1e-12
 
 
+def oracle_pentagon(spec) -> dict:
+    """The pentagon residual by brute-force contraction, one tuple at a time."""
+    n = spec.n_labels
+    worst = 0.0
+    worst_at = None
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for dd in range(n):
+                    for e in range(n):
+                        res = _oracle_pentagon_residual(spec, a, b, c, dd, e)
+                        if res > worst:
+                            worst = res
+                            worst_at = tuple(spec.labels[x].id for x in (a, b, c, dd, e))
+    return {"max_residual": worst, "worst_instance": worst_at}
+
+
+def _oracle_pentagon_residual(spec, a, b, c, d, e) -> float:
+    """|two-step - three-step| maximized over tree coordinates, for (a,b,c,d; e)."""
+    N = spec.rules.N
+    n = spec.n_labels
+
+    def fsym(x, y, z, w, key_l, key_r):
+        return spec.F.entries.get((x, y, z, w), {}).get(key_l + key_r, 0.0)
+
+    worst = 0.0
+    for f in range(n):
+        for al in range(N[a, b, f]):
+            for g in range(n):
+                for be in range(N[f, c, g]):
+                    for ga in range(N[g, d, e]):
+                        for h in range(n):
+                            for rho in range(N[c, d, h]):
+                                for l in range(n):
+                                    for ka in range(N[b, h, l]):
+                                        for om in range(N[a, l, e]):
+                                            two = sum(
+                                                fsym(f, c, d, e, (g, be, ga), (h, rho, sig))
+                                                * fsym(a, b, h, e, (f, al, sig), (l, ka, om))
+                                                for sig in range(N[f, h, e]))
+                                            three = sum(
+                                                fsym(a, b, c, g, (f, al, be), (m, mu, nu))
+                                                * fsym(a, m, d, e, (g, nu, ga), (l, pi, om))
+                                                * fsym(b, c, d, l, (m, mu, pi), (h, rho, ka))
+                                                for m in range(n)
+                                                for mu in range(N[b, c, m])
+                                                for nu in range(N[a, m, g])
+                                                for pi in range(N[m, d, l]))
+                                            worst = max(worst, abs(two - three))
+    return worst
+
+
+def _random_f(spec, rng):
+    """Seeded random F-symbols on every fusion-allowed channel of ``spec``."""
+    N = spec.rules.N
+    n = spec.n_labels
+    entries = {}
+    for a, b, c, d, e, f in itertools.product(range(n), repeat=6):
+        for al, be, ga, de in itertools.product(range(N[a, b, e]), range(N[e, c, d]),
+                                                range(N[b, c, f]), range(N[a, f, d])):
+            entries.setdefault((a, b, c, d), {})[(e, al, be, f, ga, de)] = \
+                complex(*rng.normal(size=2))
+    return dataclasses.replace(spec, F=FSymbolTable(entries=entries), _cache={})
+
+
+@pytest.mark.parametrize("case", ["fibonacci", "ising", "vec_z2", "vec_z3", "vec_s3",
+                                  "su2_2", "su2_3", "su2_4", "su2_5", "mult_ring"])
+def test_pentagon_matches_oracle(request, tmp_path, case):
+    if case == "vec_s3":
+        spec = request.getfixturevalue("s3")
+    elif case.startswith("su2_"):
+        spec = _load_doc(tmp_path, su2k_document(int(case[4:])))
+    elif case == "mult_ring":
+        # O(1) residual; every vertex of x (x) x -> x has two indices
+        spec = _random_f(request.getfixturevalue("mult_ring"), np.random.default_rng(5))
+    else:
+        spec = request.getfixturevalue("specs")[case]
+    got, want = validate_pentagon(spec), oracle_pentagon(spec)
+    assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
+    assert got["worst_instance"] == want["worst_instance"]
+    if case == "vec_s3":
+        assert got["max_residual"] == 0.0
+    if case == "mult_ring":
+        assert got["max_residual"] > 0.1
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2"])
 def test_hexagon_residuals(specs, name):
     assert validate_hexagon(specs[name])["max_residual"] < 1e-12
@@ -91,6 +180,22 @@ def test_hexagon_tamper_detected(tmp_path):
     for row in doc["R"]:
         if row[:3] == ["tau", "tau", "tau"]:
             row[6] = -row[6]
+    with pytest.raises(ConsistencyError) as err:
+        _load_doc(tmp_path, doc)
+    assert err.value.kind == "hexagon"
+    assert err.value.residual > 0.1
+
+
+def test_hexagon_checks_both_orientations(tmp_path):
+    # on vec_z3 with trivial F, R(a, b) = w^(b [a != 0]) is a character in b
+    # for each a, so the hexagon braiding a past b (x) c holds; it is not
+    # multiplicative in a, so the hexagon for the inverse braiding fails
+    doc = _doc("vec_z3")
+    ids = doc["labels"]
+    doc["R"] = [[ids[a], ids[b], ids[(a + b) % 3], 0, 0,
+                 *((1.0, 0.0) if a == 0 else (math.cos(2 * math.pi * b / 3),
+                                              math.sin(2 * math.pi * b / 3)))]
+                for a in range(3) for b in range(3)]
     with pytest.raises(ConsistencyError) as err:
         _load_doc(tmp_path, doc)
     assert err.value.kind == "hexagon"

@@ -12,7 +12,7 @@ from fcat import (NotBraided, NotHalfBraiding, NotModular, SplitFailed,
                   idempotent_hom_dim, identity, is_modular, killing_ring_eval,
                   modular_data, random_tube_morphism, s_matrix, slice_checks,
                   t_matrix, tube_algebra, tube_compose, tube_identity)
-from fcat.centre import HalfBraiding
+from fcat.centre import HalfBraiding, _idempotent_mults
 from fcat.tube import tube_hom_dim, tube_to_vector
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -269,6 +269,16 @@ def test_block_sizes(specs, name, sizes):
     for b in blocks:
         assert b.idempotency_residual < 1e-9
         assert b.origin == "from_block_decomposition"
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3",
+                                  "su2_2", "su2_3"])
+def test_block_mults_are_the_normal_form_ranks(specs, su2, name):
+    # a block's mults are measured on its corner idempotent, before the
+    # transport to the word carrier; the normal form must have the same ranks
+    spec = su2[int(name[4:])] if name.startswith("su2_") else specs[name]
+    for ci in decompose_tube_algebra(tube_algebra(spec)):
+        assert _idempotent_mults(ci.eps) == ci.mults
 
 
 def test_block_decomposition_deterministic(fib):

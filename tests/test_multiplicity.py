@@ -8,30 +8,9 @@ vertex spaces are two-dimensional.  No F-data is involved.
 
 import itertools
 
-import numpy as np
-import pytest
-
-from fcat.category import (CategorySpec, FSymbolTable, FusionRules, Label,
-                           PivotalData, RSymbolTable, hom_dim)
+from fcat.category import hom_dim
 from fcat.diagrams import tree_basis, tree_dims, factor
 from fcat.tube import tube_hom_dim, tube_layout
-
-
-@pytest.fixture(scope="module")
-def mult_ring():
-    N = np.zeros((2, 2, 2), dtype=int)
-    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
-    N[1, 1, 1] = 2
-    # associativity: (xx)x = x + 2(1 + 2x) has the same counts as x(xx)
-    lhs = np.einsum("abe,ecd->abcd", N, N)
-    rhs = np.einsum("bcf,afd->abcd", N, N)
-    assert np.array_equal(lhs, rhs)
-    d = np.array([1.0, 1 + np.sqrt(2)], dtype=complex)
-    return CategorySpec(
-        name="mult_ring", labels=(Label("1", 0), Label("x", 1)), unit=0,
-        rules=FusionRules(N=N, dual=np.array([0, 1])),
-        F=FSymbolTable(entries={}), R=None,
-        pivotal=PivotalData(d=d, D2=complex(np.sum(d * d))), tol=1e-9)
 
 
 def _brute_tree_count(N, word, k):

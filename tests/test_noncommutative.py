@@ -7,44 +7,13 @@ what works (everything order-sensitive up to the tube algebra) and the
 loud failure mode of the word-carrier normal form.
 """
 
-import itertools
-import json
-
 import numpy as np
 import pytest
 
 from fcat import (DecompositionFailed, decompose_tube_algebra, hom_dim,
-                  identity, load_category, tube_algebra, tube_compose,
+                  identity, tube_algebra, tube_compose,
                   tube_hom_dim, validate_pentagon)
 from fcat.tube import TubeMorphism
-
-
-@pytest.fixture(scope="module")
-def s3(tmp_path_factory):
-    perms = list(itertools.permutations(range(3)))
-    name = {p: f"g{idx}" for idx, p in enumerate(perms)}
-
-    def mul(p, q):
-        return tuple(p[q[x]] for x in range(3))
-
-    def inv(p):
-        out = [0] * 3
-        for i, v in enumerate(p):
-            out[v] = i
-        return tuple(out)
-
-    ids = [name[p] for p in perms]
-    doc = {"name": "vec_s3", "labels": ids, "unit": name[(0, 1, 2)],
-           "dual": {name[p]: name[inv(p)] for p in perms},
-           "N": [[name[p], name[q], name[mul(p, q)], 1]
-                 for p in perms for q in perms],
-           "F": [[name[p], name[q], name[r], name[mul(mul(p, q), r)],
-                  name[mul(p, q)], name[mul(q, r)], 0, 0, 0, 0, 1.0, 0.0]
-                 for p in perms for q in perms for r in perms],
-           "dims": {i: [1.0, 0.0] for i in ids}}
-    path = tmp_path_factory.mktemp("s3") / "vec_s3.json"
-    path.write_text(json.dumps(doc))
-    return load_category(path)
 
 
 def test_loads_with_noncommutative_fusion(s3):
