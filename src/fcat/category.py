@@ -212,6 +212,11 @@ def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
             raise SchemaError(f"unknown label {s!r}")
         return index[s]
 
+    def finite(z, field):
+        if not np.isfinite(z).all():
+            raise SchemaError(f"non-finite value in {field!r}")
+        return z
+
     unit = look(doc["unit"])
 
     dual = np.zeros(n, dtype=int)
@@ -258,7 +263,7 @@ def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
             raise SchemaError("each F row must have 12 entries")
         a, b, c, d, e, f = (look(row[i]) for i in range(6))
         al, be, ga, de = (int(x) for x in row[6:10])
-        val = complex(float(row[10]), float(row[11]))
+        val = finite(complex(float(row[10]), float(row[11])), "F")
         if not (al < N[a, b, e] and be < N[e, c, d] and ga < N[b, c, f] and de < N[a, f, d]):
             raise SchemaError(
                 f"F entry on fusion-forbidden channel: {[ids[x] for x in (a, b, c, d, e, f)]}")
@@ -273,7 +278,7 @@ def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
                 raise SchemaError("each R row must have 7 entries")
             a, b, c = look(row[0]), look(row[1]), look(row[2])
             mu, nu = int(row[3]), int(row[4])
-            val = complex(float(row[5]), float(row[6]))
+            val = finite(complex(float(row[5]), float(row[6])), "R")
             if not (mu < N[a, b, c] and nu < N[b, a, c]):
                 raise SchemaError("R entry on fusion-forbidden channel")
             r_entries.setdefault((a, b, c), {})[(mu, nu)] = val
@@ -281,11 +286,11 @@ def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
 
     if set(doc["dims"]) != set(ids):
         raise MissingData("'dims' must list every label")
-    d = np.array([complex(doc["dims"][s][0], doc["dims"][s][1]) for s in ids])
+    d = finite(np.array([complex(doc["dims"][s][0], doc["dims"][s][1]) for s in ids]), "dims")
     d.flags.writeable = False
     use_tol = float(tol if tol is not None else doc.get("tol", 1e-9))
-    if use_tol <= 0:
-        raise SchemaError("tol must be positive")
+    if not 0 < use_tol < np.inf:
+        raise SchemaError("'tol' must be positive and finite")
 
     if abs(d[unit] - 1) > use_tol:
         raise ConsistencyError("sphericality", abs(d[unit] - 1), "d(unit) != 1")

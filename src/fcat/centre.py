@@ -485,15 +485,26 @@ def slice_checks(spec: CategorySpec, n_instances: int = 20,
 # block decomposition of the tube algebra
 
 def _center_basis(A: TubeAlgebra) -> np.ndarray:
-    dim = A.dim
+    """Orthonormal basis of the centre, which lies in the diagonal corners.
+
+    A diagonal z is central iff ``z_jj . a = a . z_ii`` for every basis
+    element a of every corner (i, j): blocks (i, j, j) and (i, i, j).
+    """
+    cs = A.corner_slices
+    diag = np.r_[tuple(cs[(i, i)] for i in range(A.spec.n_labels))]
     rows = []
-    C = A.mult
-    for y in range(dim):
-        rows.append(C[y, :, :].T - C[:, y, :].T)
-    M = np.concatenate(rows, axis=0)
-    _, sv, Vh = np.linalg.svd(M, full_matrices=False)
+    for (i, j), sl in cs.items():
+        m = sl.stop - sl.start
+        if m:
+            row = np.zeros((m * m, A.dim), dtype=complex)
+            row[:, cs[(j, j)]] += A.blocks[(i, j, j)].transpose(1, 2, 0).reshape(m * m, -1)
+            row[:, cs[(i, i)]] -= A.blocks[(i, i, j)].transpose(0, 2, 1).reshape(m * m, -1)
+            rows.append(row[:, diag])
+    _, sv, Vh = np.linalg.svd(np.concatenate(rows), full_matrices=False)
     null = Vh[np.sum(sv > 1e-10 * max(1.0, sv[0])):].conj()
-    return null
+    out = np.zeros((len(null), A.dim), dtype=complex)
+    out[:, diag] = null
+    return out
 
 
 def _cluster(values: np.ndarray, gap: float):
@@ -521,14 +532,6 @@ def _cluster(values: np.ndarray, gap: float):
     return reps, ok
 
 
-def _spectral_idempotent(A: TubeAlgebra, elem: np.ndarray, unit: np.ndarray,
-                         target, others) -> np.ndarray:
-    out = unit.copy()
-    for mu in others:
-        out = A.multiply(out, (elem - mu * unit) / (target - mu))
-    return out
-
-
 def _central_idempotents(A: TubeAlgebra, rng: np.random.Generator):
     """Minimal central idempotents, as common eigenvectors of the center.
 
@@ -544,7 +547,7 @@ def _central_idempotents(A: TubeAlgebra, rng: np.random.Generator):
     for _ in range(8):
         coeffs = rng.standard_normal(n_blocks) + 1j * rng.standard_normal(n_blocks)
         z0 = coeffs @ center
-        M = np.array([pinv @ A.multiply(z0, center[al]) for al in range(n_blocks)]).T
+        M = pinv @ A.left_mult_matrix(z0) @ center.T
         vals, vecs = np.linalg.eig(M)
         scale = max(1.0, float(np.abs(vals).max()))
         reps, ok = _cluster(vals, 1e3 * tol * scale)
@@ -588,88 +591,66 @@ def decompose_tube_algebra(A: TubeAlgebra, seed: int = 0x5EED):
     out = []
     sizes = []
     for zb in _central_idempotents(A, rng):
-        Lz = A.left_mult_matrix(zb)
-        r = _rank(Lz, tol)
+        r = _rank(A.left_mult_matrix(zb), tol)
         n_b = int(round(np.sqrt(r)))
         if n_b * n_b != r:
             raise DecompositionFailed(f"block rank {r} is not a perfect square")
         sizes.append(n_b)
-        e_prim = _primitive_in_block(A, zb, rng)
-        ci = _block_normal_form(A, e_prim, n_b, seed=seed)
-        out.append(ci)
+        i0, e = _primitive_in_block(A, zb, rng)
+        out.append(_block_normal_form(spec, i0, e, n_b, seed=seed))
     if sum(s * s for s in sizes) != A.dim:
         raise DecompositionFailed("block sizes do not resolve the algebra dimension")
     return out
 
 
-def _corner_coords(A: TubeAlgebra, i: int) -> np.ndarray:
-    """The unit of the (i, i) corner: the algebra unit restricted to it."""
-    v = np.zeros_like(A.unit)
-    sl = A.corner_slices[(i, i)]
-    v[sl] = A.unit[sl]
-    return v
-
-
 def _primitive_in_block(A: TubeAlgebra, zb: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """A primitive idempotent refining the central idempotent zb."""
-    spec = A.spec
-    tol = spec.tol
-    for i in range(spec.n_labels):
-        q = A.multiply(zb, _corner_coords(A, i))
+                        rng: np.random.Generator) -> tuple:
+    """A primitive idempotent refining zb, as ``(i, e)`` with e in A_ii coordinates.
+
+    zb is central, so its (i, i) part q is the unit of q A q = q A_ii q and
+    the refinement stays inside the corner algebra A_ii.
+    """
+    tol = A.spec.tol
+    for i in range(A.spec.n_labels):
+        q = zb[A.corner_slices[(i, i)]]
         if np.abs(q).max() > 1e3 * tol:
             break
     else:
         raise DecompositionFailed("central idempotent vanishes on all corners")
-    # subalgebra q TA q
-    cols = []
-    for x in range(A.dim):
-        v = np.zeros(A.dim)
-        v[x] = 1.0
-        cols.append(A.multiply(A.multiply(q, v), q))
-    Q = np.array(cols).T
+    B = A.blocks[(i, i, i)]
+
+    def left(u):    # the matrix of v -> u . v on A_ii
+        return np.einsum("x,xyz->zy", u, B)
+
+    Q = np.einsum("xyz,y->zx", B, q) @ left(q)    # column x is q . basis_x . q
     basis = _column_basis(Q, tol)
     m2 = basis.shape[1]
     m = int(round(np.sqrt(m2)))
     if m * m != m2:
         raise DecompositionFailed("corner subalgebra dimension is not a square")
     if m == 1:
-        return q
+        return i, q
     for _ in range(8):
         a = basis @ (rng.standard_normal(m2) + 1j * rng.standard_normal(m2))
         # left multiplication restricted to the corner subalgebra
-        La = np.array([np.linalg.lstsq(basis, A.multiply(a, basis[:, t]),
-                                       rcond=None)[0] for t in range(m2)]).T
+        La = np.linalg.lstsq(basis, left(a) @ basis, rcond=None)[0]
         vals = np.linalg.eigvals(La)
         scale = max(1.0, float(np.abs(vals).max()))
         reps, ok = _cluster(vals, 1e3 * tol * scale)
         if ok and len(reps) == m:
-            e = _spectral_idempotent(A, a, q, reps[0],
-                                     [mu for mu in reps[1:]])
-            if np.abs(A.multiply(e, e) - e).max() < 1e3 * tol:
-                return e
+            e = q    # spectral projector onto the eigenvalue reps[0]
+            for mu in reps[1:]:
+                e = left(e) @ (a - mu * q) / (reps[0] - mu)
+            if np.abs(left(e) @ e - e).max() < 1e3 * tol:
+                return i, e
     raise DecompositionFailed("could not refine the block to a primitive idempotent")
 
 
-def _coords_to_tube(A: TubeAlgebra, coords: np.ndarray) -> tuple:
-    """Interpret corner-supported coordinates as one tube endomorphism."""
-    coords = np.asarray(coords).copy()
-    scale = float(np.abs(coords).max())
-    coords[np.abs(coords) < 1e-9 * scale] = 0
-    corners = [key for key, sl in A.corner_slices.items() if np.any(coords[sl])]
-    if len(corners) != 1:
-        raise DecompositionFailed("refined idempotent is not corner-supported")
-    (i, j), = corners
-    if i != j:
-        raise DecompositionFailed("refined idempotent is off-diagonal")
-    return i, tube_from_vector(A.spec, (i,), (i,), coords[A.corner_slices[(i, i)]])
-
-
-def _block_normal_form(A: TubeAlgebra, e_coords: np.ndarray, n_b: int,
+def _block_normal_form(spec: CategorySpec, i0: int, e: np.ndarray, n_b: int,
                        seed: int) -> CentreIdempotent:
-    """Transport a primitive corner idempotent to its word carrier."""
-    spec = A.spec
-    i0, e_t = _coords_to_tube(A, e_coords)
+    """Transport a primitive idempotent of A_{i0 i0} to its word carrier."""
+    e = np.where(np.abs(e) < 1e-9 * np.abs(e).max(), 0, e)
+    e_t = tube_from_vector(spec, (i0,), (i0,), e)
     mults = _idempotent_mults(e_t)
     W = _word_with_channels(spec, mults)
     rng = np.random.default_rng(seed ^ 0xA5A5)

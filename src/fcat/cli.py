@@ -84,11 +84,11 @@ def cmd_tube_dim(spec, args, checks):
 
 def cmd_tube_algebra(spec, args, checks):
     A = tube_algebra(spec)
-    rows = []
-    for x, slab in enumerate(A.mult):   # one slab at a time: no dim**3 temporaries
-        for y, z in np.argwhere(np.abs(slab) > 1e-14):
-            val = slab[y, z]
-            rows.append([x, int(y), int(z), val.real, val.imag])
+    cs = A.corner_slices
+    rows = sorted([int(x) + cs[(j, l)].start, int(y) + cs[(i, j)].start,
+                   int(z) + cs[(i, l)].start, blk[x, y, z].real, blk[x, y, z].imag]
+                  for (i, j, l), blk in A.blocks.items()
+                  for x, y, z in np.argwhere(np.abs(blk) > 1e-14))
     basis = [{"source": spec.labels[i].id, "target": spec.labels[j].id,
               "grade": spec.labels[R].id, "channel": spec.labels[k].id,
               "row": int(r), "col": int(c)}
@@ -101,8 +101,9 @@ def cmd_centre(spec, args, checks):
     A = tube_algebra(spec)
     blocks = decompose_tube_algebra(A, seed=args.seed)
     payload = []
-    for b in sorted(blocks, key=lambda b: (b.block_size,
-                                           sorted(b.mults.items()))):
+    # Twists are rounded so that float noise cannot order a conjugate pair.
+    for b in sorted(blocks, key=lambda b: (b.block_size, sorted(b.mults.items()),
+                                           round(b.twist.real, 9), round(b.twist.imag, 9))):
         payload.append({
             "size": b.block_size,
             "mults": {spec.labels[k].id: m for k, m in b.mults.items() if m},

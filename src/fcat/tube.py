@@ -318,29 +318,40 @@ class TubeAlgebra:
     :func:`tube_layout` coordinates of ``Hom_TC([i], [j])``, which occupy
     ``corner_slices[(i, j)]``.  ``basis[x]`` is ``(i, j, R, k, r, c)``: the
     entry (r, c) of the grade-R, channel-k block of that corner.
-    ``mult[x, y, z]`` holds the structure constants of ``basis_x . basis_y``
-    (composition; zero whenever the objects mismatch).
+
+    Only corner (j, l) times corner (i, j) is non-zero, landing in (i, l):
+    ``blocks[(i, j, l)][x, y, z]`` is coordinate z of ``basis_x . basis_y``
+    in those three corners, stored when all three are non-empty, as views
+    into the one flat array ``structure``.  ``mult`` is the dense
+    ``(dim, dim, dim)`` array, built on demand for small algebras.
     """
     spec: CategorySpec
     basis: list
-    mult: np.ndarray
+    structure: np.ndarray = field(repr=False)
     unit: np.ndarray
     corner_slices: dict = field(repr=False)
+    blocks: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def multiply(self, u, v) -> np.ndarray:
-        return np.asarray(v) @ self._left_rows(u)
+        return self.left_mult_matrix(u) @ np.asarray(v)
 
     def left_mult_matrix(self, u) -> np.ndarray:
-        return self._left_rows(u).T
+        """Column y holds ``u . basis_y``, assembled block by block."""
+        cs, u = self.corner_slices, np.asarray(u)
+        L = np.zeros((self.dim, self.dim), dtype=complex)
+        for (i, j, l), blk in self.blocks.items():
+            nx, ny, nz = blk.shape
+            L[cs[(i, l)], cs[(i, j)]] += (u[cs[(j, l)]] @ blk.reshape(nx, ny * nz)
+                                          ).reshape(ny, nz).T
+        return L
 
-    def _left_rows(self, u) -> np.ndarray:
-        """Row y holds ``u . basis_y``: one matmul with ``mult`` read as (dim, dim**2)."""
-        dim = self.dim
-        return (np.asarray(u) @ self.mult.reshape(dim, dim * dim)).reshape(dim, dim)
+    @property
+    def mult(self) -> np.ndarray:
+        return np.array([self.left_mult_matrix(e).T for e in np.eye(self.dim)])
 
 
 def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
@@ -364,23 +375,24 @@ def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
             corner_slices[(i, j)] = slice(start, len(basis))
             basis_tubes[(i, j)] = [tube_from_vector(spec, (i,), (j,), e)
                                    for e in np.eye(size)]
-    dim = len(basis)
-    mult = np.zeros((dim, dim, dim), dtype=complex)
-    unit = np.zeros(dim, dtype=complex)
+    blocks = {}
     for i in range(n):
         for l in range(n):
             pieces: dict = {}   # every product into corner (i, l) shares its conjugators
-            zs = corner_slices[(i, l)]
             for j in range(n):
-                ys = corner_slices[(i, j)]
-                x0 = corner_slices[(j, l)].start
-                for x, g in enumerate(basis_tubes[(j, l)], x0):
-                    mult[x, ys, zs] = _compose_matrix(
-                        g, (i,), True, basis_tubes[(i, j)], pieces).T
+                if all(basis_tubes[c] for c in ((j, l), (i, j), (i, l))):
+                    blocks[(i, j, l)] = np.array([
+                        _compose_matrix(g, (i,), True, basis_tubes[(i, j)], pieces).T
+                        for g in basis_tubes[(j, l)]])
+    structure = np.concatenate([b.ravel() for b in blocks.values()])
+    unit = np.zeros(len(basis), dtype=complex)
     for i in range(n):
         unit[corner_slices[(i, i)]] = tube_to_vector(tube_identity(spec, (i,)))
-    mult.flags.writeable = False
+    structure.flags.writeable = False
     unit.flags.writeable = False
-    algebra = TubeAlgebra(spec, basis, mult, unit, corner_slices)
+    ends = np.cumsum([b.size for b in blocks.values()])
+    blocks = {t: structure[e - b.size:e].reshape(b.shape)
+              for (t, b), e in zip(blocks.items(), ends)}
+    algebra = TubeAlgebra(spec, basis, structure, unit, corner_slices, blocks)
     spec._cache[key] = algebra
     return algebra

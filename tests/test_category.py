@@ -10,6 +10,7 @@ from fcat import (ConsistencyError, MissingData, SchemaError, UnknownLabel,
                   global_dimension, hom_dim, load_builtin, load_category,
                   validate_hexagon, validate_pentagon)
 from fcat.category import DATA_DIR, FSymbolTable
+from fcat.cli import run
 from fcat.errors import NotBraided
 from su2k import su2k_document
 
@@ -251,6 +252,23 @@ def test_schema_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         load_category(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["F", "R", "dims", "tol"])
+def test_non_finite_values_are_schema_errors(tmp_path, field, value):
+    doc = _doc("fibonacci")
+    if field == "F":
+        doc["F"][-1][10] = value
+    elif field == "R":
+        doc["R"][-1][6] = value
+    elif field == "dims":
+        doc["dims"]["tau"][0] = value
+    else:
+        doc["tol"] = value
+    with pytest.raises(SchemaError, match=field):
+        _load_doc(tmp_path, doc)
+    assert run(["validate", str(tmp_path / "cat.json")]) == 2
 
 
 def test_hom_dim_examples(fib, ising):

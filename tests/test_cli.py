@@ -1,10 +1,14 @@
 import json
+import math
+from itertools import product
 
+import numpy as np
 import pytest
 
-from fcat import cli
+from fcat import cli, load_builtin, tube_compose
 from fcat.category import DATA_DIR, load_category
 from fcat.cli import run
+from fcat.tube import tube_from_vector, tube_layout, tube_to_vector
 from su2k import su2k_document
 
 
@@ -52,6 +56,36 @@ def test_tube_dim_unit_words(capsys):
     code, rep = _run(capsys, "tube-dim", _data("fibonacci"))
     assert code == 0
     assert rep["result"]["dim"] == 2
+
+
+def _oracle_mult_rows(spec):
+    """``[x, y, z, re, im]`` of ``basis_x . basis_y`` from tube_compose, in (x, y, z) order."""
+    n = spec.n_labels
+    start, sizes = {}, {}
+    for i, j in product(range(n), repeat=2):
+        start[(i, j)] = sum(sizes.values())
+        sizes[(i, j)] = tube_layout(spec, (i,), (j,))[1]
+    rows = []
+    for (j, l), (i, j2) in product(sizes, repeat=2):
+        if j2 != j:
+            continue
+        for x, y in product(range(sizes[(j, l)]), range(sizes[(i, j)])):
+            gx = tube_from_vector(spec, (j,), (l,), np.eye(sizes[(j, l)])[x])
+            gy = tube_from_vector(spec, (i,), (j,), np.eye(sizes[(i, j)])[y])
+            v = tube_to_vector(tube_compose(gx, gy))
+            rows += [[start[(j, l)] + x, start[(i, j)] + y, start[(i, l)] + z,
+                      v[z].real, v[z].imag] for z in np.flatnonzero(np.abs(v) > 1e-14)]
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3"])
+def test_tube_algebra_mult_rows_match_tube_compose(capsys, name):
+    code, rep = _run(capsys, "tube-algebra", _data(name))
+    assert code == 0
+    got = rep["result"]["mult"]
+    want = _oracle_mult_rows(load_builtin(name))
+    assert [r[:3] for r in got] == [r[:3] for r in want]
+    assert all(math.hypot(a[3] - b[3], a[4] - b[4]) < 1e-12 for a, b in zip(got, want))
 
 
 def test_tube_algebra_out_file(tmp_path, capsys):

@@ -6,13 +6,24 @@ cup/cap normalization, modular data and block decomposition away from the
 unitary-gauge comfort zone of the bundled examples.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from fcat import (completeness_check, decompose_tube_algebra,
                   eps_from_half_braiding, eps_xy, half_braiding_from_idempotent,
-                  killing_ring_eval, load_builtin, modular_data,
+                  killing_ring_eval, load_builtin, load_category, modular_data,
                   t_matrix, tube_algebra, validate_hexagon, validate_pentagon)
+from su2k import su2k_document
+
+
+@pytest.fixture(scope="module")
+def su2_4(tmp_path_factory):
+    """SU(2)_4: rank 5, the first rung with a 3 x 3 block."""
+    p = tmp_path_factory.mktemp("su2k") / "su2_4.json"
+    p.write_text(json.dumps(su2k_document(4)))
+    return load_category(p)
 
 
 def test_loads_and_validates(su2):
@@ -47,9 +58,10 @@ def test_su2_2_completeness(su2):
 @pytest.mark.parametrize("k,sizes,dim", [
     (2, [1] * 8 + [2], 12),
     (3, [1] * 12 + [2] * 4, 28),
+    (4, [1] * 16 + [2] * 8 + [3], 57),
 ])
-def test_block_decomposition_and_round_trip(su2, k, sizes, dim):
-    spec = su2[k]
+def test_block_decomposition_and_round_trip(su2, su2_4, k, sizes, dim):
+    spec = {**su2, 4: su2_4}[k]
     A = tube_algebra(spec)
     assert A.dim == dim
     blocks = decompose_tube_algebra(A)

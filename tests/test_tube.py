@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,21 @@ def test_tube_algebra_unital_associative(specs, rng):
             lhs = A.multiply(A.multiply(u, v), w)
             rhs = A.multiply(u, A.multiply(v, w))
             assert np.abs(lhs - rhs).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3", "su2_3"])
+def test_tube_algebra_stores_only_corner_triples(oracle_specs, name):
+    spec = oracle_specs[name]
+    A = tube_algebra(spec)
+    n = spec.n_labels
+    h = {(i, j): tube_hom_dim(spec, (i,), (j,)) for i, j in product(range(n), repeat=2)}
+    want = sum(h[(i, j)] * h[(j, l)] * h[(i, l)]
+               for i, j, l in product(range(n), repeat=3))
+    assert A.structure.size == want
+    assert sum(b.size for b in A.blocks.values()) == want
+    assert all(np.shares_memory(b, A.structure) for b in A.blocks.values())
+    arrays = [v for v in vars(A).values() if isinstance(v, np.ndarray)]
+    assert all(a.size != A.dim ** 3 for a in arrays)
 
 
 def test_tube_algebra_abelian_case_commutative(z2):
