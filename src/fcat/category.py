@@ -104,7 +104,6 @@ class PivotalData:
     """Quantum dimensions per label and the global dimension ``D2 = sum d(i)^2``."""
     d: np.ndarray          # (n,) complex
     D2: complex
-    p: np.ndarray | None = None   # optional per-label pivotal coefficients
 
 
 @dataclass(frozen=True)

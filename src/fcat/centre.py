@@ -129,17 +129,16 @@ class ModularData:
 # idempotents from half-braidings
 
 def eps_from_half_braiding(hb: HalfBraiding, origin: str = "from_half_braiding",
-                           check: bool = True, mults: dict | None = None) -> CentreIdempotent:
+                           mults: dict | None = None) -> CentreIdempotent:
     """The graded idempotent with grade-S component ``d(S)/D2 tau_S``.
 
     ``mults`` may pass the multiplicities already measured on an isomorphic
     idempotent; they are computed from the graded idempotent otherwise.
     """
     spec = hb.spec()
-    if check:
-        res = half_braiding_residual(hb)
-        if res > 1e3 * spec.tol:
-            raise NotHalfBraiding(res)
+    res = half_braiding_residual(hb)
+    if res > 1e3 * spec.tol:
+        raise NotHalfBraiding(res)
     eps = _graded_idempotent(hb)
     resid = (tube_compose(eps, eps) - eps).norm()
     if mults is None:
@@ -208,9 +207,7 @@ def hom_between_idempotents(e1: CentreIdempotent, e2: CentreIdempotent):
     if e2.eps.spec is not spec:
         raise ShapeMismatch("idempotents from different categories")
     X1, X2 = e1.carrier, e2.carrier
-    pieces: dict = {}    # both factors act on Hom_TC(X1, X2): shared conjugators
-    P = (_compose_matrix(e2.eps, X1, True, pieces=pieces)
-         @ _compose_matrix(e1.eps, X2, False, pieces=pieces))
+    P = _compose_matrix(e2.eps, X1, True) @ _compose_matrix(e1.eps, X2, False)
     cols = _column_basis(P, spec.tol)
     return [tube_from_vector(spec, X1, X2, col) for col in cols.T]
 
@@ -597,7 +594,7 @@ def decompose_tube_algebra(A: TubeAlgebra, seed: int = 0x5EED):
             raise DecompositionFailed(f"block rank {r} is not a perfect square")
         sizes.append(n_b)
         i0, e = _primitive_in_block(A, zb, rng)
-        out.append(_block_normal_form(spec, i0, e, n_b, seed=seed))
+        out.append(_block_normal_form(A, i0, e, n_b, seed=seed))
     if sum(s * s for s in sizes) != A.dim:
         raise DecompositionFailed("block sizes do not resolve the algebra dimension")
     return out
@@ -646,12 +643,18 @@ def _primitive_in_block(A: TubeAlgebra, zb: np.ndarray,
     raise DecompositionFailed("could not refine the block to a primitive idempotent")
 
 
-def _block_normal_form(spec: CategorySpec, i0: int, e: np.ndarray, n_b: int,
+def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, n_b: int,
                        seed: int) -> CentreIdempotent:
-    """Transport a primitive idempotent of A_{i0 i0} to its word carrier."""
+    """Transport a primitive idempotent of A_{i0 i0} to its word carrier.
+
+    The multiplicity of i is the rank of e's left action on corner (i, i0),
+    read from ``A.blocks[(i, i0, i0)]``.
+    """
+    spec = A.spec
     e = np.where(np.abs(e) < 1e-9 * np.abs(e).max(), 0, e)
     e_t = tube_from_vector(spec, (i0,), (i0,), e)
-    mults = _idempotent_mults(e_t)
+    mults = {i: _rank(np.einsum("x,xyz->zy", e, A.blocks[(i, i0, i0)]), spec.tol)
+             if (i, i0, i0) in A.blocks else 0 for i in range(spec.n_labels)}
     W = _word_with_channels(spec, mults)
     rng = np.random.default_rng(seed ^ 0xA5A5)
     for _ in range(8):

@@ -209,11 +209,6 @@ class Morphism:
         vals = [np.abs(b).max() for b in self.blocks.values() if b.size]
         return float(max(vals)) if vals else 0.0
 
-    def prune(self, threshold: float) -> "Morphism":
-        kept = {k: b for k, b in self.blocks.items()
-                if b.size and np.abs(b).max() > threshold}
-        return replace(self, blocks=kept)
-
     def __add__(self, other: "Morphism") -> "Morphism":
         _check_parallel(self, other)
         blocks = dict(self.blocks)
@@ -247,15 +242,15 @@ def zero_morphism(spec: CategorySpec, src, dst) -> Morphism:
     return Morphism(spec, tuple(spec.word(src)), tuple(spec.word(dst)), {})
 
 
-def random_morphism(spec: CategorySpec, src, dst, rng: np.random.Generator,
-                    scale: float = 1.0) -> Morphism:
+def random_morphism(spec: CategorySpec, src, dst, rng: np.random.Generator
+                    ) -> Morphism:
     src = tuple(spec.word(src))
     dst = tuple(spec.word(dst))
     ds, dt = tree_dims(spec, src), tree_dims(spec, dst)
     blocks = {}
     for k in sorted(set(ds) & set(dt)):
-        blocks[k] = scale * (rng.standard_normal((dt[k], ds[k]))
-                             + 1j * rng.standard_normal((dt[k], ds[k])))
+        blocks[k] = (rng.standard_normal((dt[k], ds[k]))
+                     + 1j * rng.standard_normal((dt[k], ds[k])))
     return Morphism(spec, src, dst, blocks)
 
 

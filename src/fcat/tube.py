@@ -15,9 +15,9 @@ from itertools import product
 import numpy as np
 
 from .category import CategorySpec, hom_dim
-from .diagrams import (Morphism, cap_word, compose, cup_word,
-                       decompose_resolution, identity, random_morphism,
-                       tensor, tree_dims, zero_morphism)
+from .diagrams import (Morphism, cap_word, compose, cup_word, factor,
+                       identity, random_morphism, tensor, tree_basis, tree_dims,
+                       zero_morphism)
 from .errors import ShapeMismatch
 
 __all__ = [
@@ -49,9 +49,9 @@ class TubeMorphism:
         vals = [c.norm() for c in self.components.values()]
         return float(max(vals)) if vals else 0.0
 
-    def prune(self, threshold: float | None = None) -> "TubeMorphism":
-        thr = self.spec.tol if threshold is None else threshold
-        comps = {R: c for R, c in self.components.items() if c.norm() > thr}
+    def prune(self) -> "TubeMorphism":
+        comps = {R: c for R, c in self.components.items()
+                 if c.norm() > self.spec.tol}
         return replace(self, components=comps)
 
     def __add__(self, other: "TubeMorphism") -> "TubeMorphism":
@@ -111,10 +111,6 @@ def tube_identity(spec: CategorySpec, X) -> TubeMorphism:
     return embed(identity(spec, X))
 
 
-def zero_tube(spec: CategorySpec, X, Y) -> TubeMorphism:
-    return TubeMorphism(spec, tuple(spec.word(X)), tuple(spec.word(Y)), {})
-
-
 def tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
     """Annular stacking, resolved into simple grades.
 
@@ -144,32 +140,47 @@ def lift(spec: CategorySpec, alpha: Morphism, G) -> TubeMorphism:
         raise ShapeMismatch("alpha does not have the stated G ++ X -> Y ++ G shape")
     X = alpha.src[n:]
     Y = alpha.dst[:len(alpha.dst) - n]
-    out = zero_tube(spec, X, Y)
-    for S, bstar_Y, b_X in _conjugators(spec, G, X, Y, {}):
-        comp = compose(bstar_Y, compose(alpha, b_X))
-        out = out + TubeMorphism(spec, X, Y, {S: comp})
-    return out.prune()
+    entries, dim = tube_layout(spec, X, Y)
+    where = {(S, k): slice(off, off + nr * nc) for S, k, nr, nc, off in entries}
+    v = np.zeros(dim, dtype=complex)
+    _resolve(v, where, _conjugators(spec, G, X, Y), alpha.blocks)
+    return tube_from_vector(spec, X, Y, v).prune()
 
 
-def _identity(spec: CategorySpec, word: tuple, pieces: dict) -> Morphism:
-    if word not in pieces:
-        pieces[word] = identity(spec, word)
-    return pieces[word]
+def _conjugators(spec: CategorySpec, G: tuple, X: tuple, Z: tuple) -> dict:
+    """Per charge k, ``(S, U, cols)`` over the trees b of ``Hom(S, G)``.
+
+    In the left-nested basis, block k of ``b (x) id_X`` is the column
+    selection ``cols`` of the trees of G ++ X that begin with b, and block k
+    of ``id_Z (x) b*`` is the rows ``U`` of the factorization of Z ++ G at
+    |Z| whose right-hand tree is b.  Terms with an empty side are left out.
+    """
+    out = {}
+    for k, (basis, U) in factor(spec, Z + G, len(Z)).items():
+        rows: dict = {}
+        for r, (_, j, _, ic, _) in enumerate(basis):
+            rows.setdefault((j, ic), []).append(r)
+        cols: dict = {}
+        for c, t in enumerate(tree_basis(spec, G + X).get(k, ())):
+            cols.setdefault(t[:max(len(G) - 1, 0)], []).append(c)
+        out[k] = [(S, U[rows[(S, ib)]], cols[b])
+                  for S, bs in sorted(tree_basis(spec, G).items())
+                  for ib, b in enumerate(bs) if (S, ib) in rows and b in cols]
+    return out
 
 
-def _conjugators(spec: CategorySpec, G: tuple, X: tuple, Y: tuple,
-                 pieces: dict) -> list:
-    """``(S, id_Y (x) b*, b (x) id_X)`` over a dual basis ``(b, b*)`` of ``Hom(S, G)``."""
-    key = (G, X, Y)
-    if key not in pieces:
-        idX, idY = _identity(spec, X, pieces), _identity(spec, Y, pieces)
-        pieces[key] = [(S, tensor(idY, bstar), tensor(b, idX))
-                       for S, b, bstar in decompose_resolution(spec, G)]
-    return pieces[key]
+def _resolve(v: np.ndarray, where: dict, conj: dict, blocks: dict) -> None:
+    """Add to v the grades of a plain map ``G ++ X -> Z ++ G``, resolved by conj.
+
+    ``conj`` is :func:`_conjugators` of (G, X, Z), and ``where[(S, k)]`` the
+    slice of grade S, charge k in the tube_layout of ``Hom_TC(X, Z)``.
+    """
+    for k, blk in blocks.items():
+        for T, U, cols in conj.get(k, ()):
+            v[where[(T, k)]] += (U @ blk[:, cols]).ravel()
 
 
-def _compose_matrix(fixed: TubeMorphism, other, left: bool, probes=None,
-                    pieces: dict | None = None) -> np.ndarray:
+def _compose_matrix(fixed: TubeMorphism, other, left: bool, probes=None) -> np.ndarray:
     """Matrix of composing with a fixed tube morphism, in tube_layout coordinates.
 
     With ``left`` it is ``h -> fixed . h`` on ``Hom_TC(other, fixed.src)``,
@@ -177,7 +188,6 @@ def _compose_matrix(fixed: TubeMorphism, other, left: bool, probes=None,
     is the image of ``probes[c]`` (default: the tube_layout basis).  Per
     grade pair (S, R) the fixed operand's whisker and the (b, b*)
     conjugators are built once; a probe adds only its own whisker.
-    ``pieces`` shares conjugators and identities between calls.
     """
     spec = fixed.spec
     other = tuple(spec.word(other))
@@ -186,30 +196,26 @@ def _compose_matrix(fixed: TubeMorphism, other, left: bool, probes=None,
     if probes is None:
         probes = [tube_from_vector(spec, *P, e)
                   for e in np.eye(tube_layout(spec, *P)[1])]
-    pieces = {} if pieces is None else pieces
     entries, dim = tube_layout(spec, X, Z)
     where = {(T, k): slice(off, off + nr * nc) for T, k, nr, nc, off in entries}
     M = np.zeros((dim, len(probes)), dtype=complex)
     probe_grades = sorted({R for p in probes for R in p.components})
     pairs = (product(sorted(fixed.components), probe_grades) if left
              else product(probe_grades, sorted(fixed.components)))
+    ids = {R: identity(spec, (R,)) for R in set(fixed.components) | set(probe_grades)}
     for S, R in pairs:
-        idS, idR = _identity(spec, (S,), pieces), _identity(spec, (R,), pieces)
-        conj = _conjugators(spec, (S, R), X, Z, pieces)
+        conj = _conjugators(spec, (S, R), X, Z)
         if left:    # fixed g_S (x) id_R, probe id_S (x) f_R
-            whisker = tensor(fixed.components[S], idR)
-            terms = [(T, compose(out, whisker), into) for T, out, into in conj]
+            whisker = tensor(fixed.components[S], ids[R])
         else:       # fixed id_S (x) f_R, probe g_S (x) id_R
-            whisker = tensor(idS, fixed.components[R])
-            terms = [(T, out, compose(whisker, into)) for T, out, into in conj]
+            whisker = tensor(ids[S], fixed.components[R])
         for c, p in enumerate(probes):
             pc = p.components.get(R if left else S)
             if pc is None:
                 continue
-            w = tensor(idS, pc) if left else tensor(pc, idR)
-            for T, out, into in terms:
-                for k, blk in compose(out, compose(w, into)).blocks.items():
-                    M[where[(T, k)], c] += blk.reshape(-1)
+            mid = (compose(whisker, tensor(ids[S], pc)) if left
+                   else compose(tensor(pc, ids[R]), whisker))
+            _resolve(M[:, c], where, conj, mid.blocks)
     return M
 
 
@@ -376,14 +382,11 @@ def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
             basis_tubes[(i, j)] = [tube_from_vector(spec, (i,), (j,), e)
                                    for e in np.eye(size)]
     blocks = {}
-    for i in range(n):
-        for l in range(n):
-            pieces: dict = {}   # every product into corner (i, l) shares its conjugators
-            for j in range(n):
-                if all(basis_tubes[c] for c in ((j, l), (i, j), (i, l))):
-                    blocks[(i, j, l)] = np.array([
-                        _compose_matrix(g, (i,), True, basis_tubes[(i, j)], pieces).T
-                        for g in basis_tubes[(j, l)]])
+    for i, l, j in product(range(n), repeat=3):
+        if all(basis_tubes[c] for c in ((j, l), (i, j), (i, l))):
+            blocks[(i, j, l)] = np.array([
+                _compose_matrix(g, (i,), True, basis_tubes[(i, j)]).T
+                for g in basis_tubes[(j, l)]])
     structure = np.concatenate([b.ravel() for b in blocks.values()])
     unit = np.zeros(len(basis), dtype=complex)
     for i in range(n):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -75,6 +76,25 @@ def mult_ring():
         rules=FusionRules(N=N, dual=np.array([0, 1])),
         F=FSymbolTable(entries={}), R=None,
         pivotal=PivotalData(d=d, D2=complex(np.sum(d * d))), tol=1e-9)
+
+
+@pytest.fixture(scope="session")
+def mult_ring_f(mult_ring):
+    """mult_ring with seeded random F-symbols on every fusion-allowed channel.
+
+    The pentagon fails at O(1), but every vertex of x (x) x -> x carries two
+    indices, which exercises the multiplicity paths of recoupling.
+    """
+    rng = np.random.default_rng(5)
+    N = mult_ring.rules.N
+    n = mult_ring.n_labels
+    entries = {}
+    for a, b, c, d, e, f in itertools.product(range(n), repeat=6):
+        for al, be, ga, de in itertools.product(range(N[a, b, e]), range(N[e, c, d]),
+                                                range(N[b, c, f]), range(N[a, f, d])):
+            entries.setdefault((a, b, c, d), {})[(e, al, be, f, ga, de)] = \
+                complex(*rng.normal(size=2))
+    return dataclasses.replace(mult_ring, F=FSymbolTable(entries=entries), _cache={})
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,3 @@
-import dataclasses
-import itertools
 import json
 import math
 
@@ -9,7 +7,7 @@ import pytest
 from fcat import (ConsistencyError, MissingData, SchemaError, UnknownLabel,
                   global_dimension, hom_dim, load_builtin, load_category,
                   validate_hexagon, validate_pentagon)
-from fcat.category import DATA_DIR, FSymbolTable
+from fcat.category import DATA_DIR
 from fcat.cli import run
 from fcat.errors import NotBraided
 from su2k import su2k_document
@@ -117,19 +115,6 @@ def _oracle_pentagon_residual(spec, a, b, c, d, e) -> float:
     return worst
 
 
-def _random_f(spec, rng):
-    """Seeded random F-symbols on every fusion-allowed channel of ``spec``."""
-    N = spec.rules.N
-    n = spec.n_labels
-    entries = {}
-    for a, b, c, d, e, f in itertools.product(range(n), repeat=6):
-        for al, be, ga, de in itertools.product(range(N[a, b, e]), range(N[e, c, d]),
-                                                range(N[b, c, f]), range(N[a, f, d])):
-            entries.setdefault((a, b, c, d), {})[(e, al, be, f, ga, de)] = \
-                complex(*rng.normal(size=2))
-    return dataclasses.replace(spec, F=FSymbolTable(entries=entries), _cache={})
-
-
 @pytest.mark.parametrize("case", ["fibonacci", "ising", "vec_z2", "vec_z3", "vec_s3",
                                   "su2_2", "su2_3", "su2_4", "su2_5", "mult_ring"])
 def test_pentagon_matches_oracle(request, tmp_path, case):
@@ -139,7 +124,7 @@ def test_pentagon_matches_oracle(request, tmp_path, case):
         spec = _load_doc(tmp_path, su2k_document(int(case[4:])))
     elif case == "mult_ring":
         # O(1) residual; every vertex of x (x) x -> x has two indices
-        spec = _random_f(request.getfixturevalue("mult_ring"), np.random.default_rng(5))
+        spec = request.getfixturevalue("mult_ring_f")
     else:
         spec = request.getfixturevalue("specs")[case]
     got, want = validate_pentagon(spec), oracle_pentagon(spec)

@@ -3,12 +3,25 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fcat import (ShapeMismatch, c_morphism, c_morphism_inv, compose, embed,
-                  hom_dim, identity, lift, random_morphism,
-                  random_tube_morphism, tensor, tube_algebra, tube_compose,
-                  tube_hom_dim, tube_identity, unembed)
+from fcat import (ShapeMismatch, c_morphism, c_morphism_inv, compose,
+                  decompose_resolution, embed, hom_dim, identity, lift,
+                  random_morphism, random_tube_morphism, tensor, tube_algebra,
+                  tube_compose, tube_hom_dim, tube_identity, unembed)
 from fcat.tube import (TubeMorphism, _compose_matrix, tube_from_vector,
                        tube_layout, tube_to_vector)
+
+
+def oracle_lift(spec, alpha, G) -> TubeMorphism:
+    """Grade S of ``(id_Y (x) b*) . alpha . (b (x) id_X)``, summed over the
+    dual basis (b, b*) of ``Hom(S, G)``, built diagrammatically with tensor."""
+    n = len(G)
+    X, Y = alpha.src[n:], alpha.dst[:len(alpha.dst) - n]
+    out = TubeMorphism(spec, X, Y, {})
+    for S, b, bstar in decompose_resolution(spec, G):
+        comp = compose(tensor(identity(spec, Y), bstar),
+                       compose(alpha, tensor(b, identity(spec, X))))
+        out = out + TubeMorphism(spec, X, Y, {S: comp})
+    return out.prune()
 
 
 def oracle_tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
@@ -20,13 +33,14 @@ def oracle_tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
         for R, fR in f.components.items():
             mid = compose(tensor(gS, identity(spec, (R,))),
                           tensor(identity(spec, (S,)), fR))
-            out = out + lift(spec, mid, (S, R))
+            out = out + oracle_lift(spec, mid, (S, R))
     return out.prune()
 
 
 @pytest.fixture(scope="module")
-def oracle_specs(specs, su2):
-    return {**specs, **{f"su2_{k}": spec for k, spec in su2.items()}}
+def oracle_specs(specs, su2, s3, mult_ring_f):
+    return {**specs, **{f"su2_{k}": spec for k, spec in su2.items()},
+            "vec_s3": s3, "mult_ring": mult_ring_f}
 
 
 @pytest.mark.parametrize("name,X,Y,want", [
@@ -85,7 +99,7 @@ def test_tube_unit_and_associativity(specs, rng):
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3",
-                                  "su2_2", "su2_3"])
+                                  "vec_s3", "su2_2", "su2_3", "mult_ring"])
 def test_batched_composition_matches_diagrammatic_oracle(oracle_specs, rng, name):
     # tube_compose, and every column of the left and right composition
     # matrices, agree with the diagrammatic stacking on words of length 0-2
@@ -156,6 +170,19 @@ def test_lift_simple_grading_is_injection(fib, rng):
     t = lift(fib, alpha, (1,))
     assert set(t.components) == {1}
     assert (t.components[1] - alpha).norm() == 0
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_s3", "su2_3", "mult_ring"])
+def test_lift_matches_diagrammatic_oracle(oracle_specs, rng, name):
+    # grading words of length 0-3 between random words of length 0-2
+    spec = oracle_specs[name]
+    n = spec.n_labels
+    for m in range(4):
+        for _ in range(4):
+            G, X, Y = (tuple(int(a) for a in rng.integers(0, n, size=k))
+                       for k in (m, rng.integers(0, 3), rng.integers(0, 3)))
+            alpha = random_morphism(spec, G + X, Y + G, rng)
+            assert (lift(spec, alpha, G) - oracle_lift(spec, alpha, G)).norm() < 1e-10
 
 
 def test_lift_shape_check(fib, rng):
