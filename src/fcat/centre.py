@@ -481,31 +481,12 @@ def slice_checks(spec: CategorySpec, n_instances: int = 20,
 # ---------------------------------------------------------------------------
 # block decomposition of the tube algebra
 
-def _center_basis(A: TubeAlgebra) -> np.ndarray:
-    """Orthonormal basis of the centre, which lies in the diagonal corners.
-
-    A diagonal z is central iff ``z_jj . a = a . z_ii`` for every basis
-    element a of every corner (i, j): blocks (i, j, j) and (i, i, j).
-    """
-    cs = A.corner_slices
-    diag = np.r_[tuple(cs[(i, i)] for i in range(A.spec.n_labels))]
-    rows = []
-    for (i, j), sl in cs.items():
-        m = sl.stop - sl.start
-        if m:
-            row = np.zeros((m * m, A.dim), dtype=complex)
-            row[:, cs[(j, j)]] += A.blocks[(i, j, j)].transpose(1, 2, 0).reshape(m * m, -1)
-            row[:, cs[(i, i)]] -= A.blocks[(i, i, j)].transpose(0, 2, 1).reshape(m * m, -1)
-            rows.append(row[:, diag])
-    _, sv, Vh = np.linalg.svd(np.concatenate(rows), full_matrices=False)
-    null = Vh[np.sum(sv > 1e-10 * max(1.0, sv[0])):].conj()
-    out = np.zeros((len(null), A.dim), dtype=complex)
-    out[:, diag] = null
-    return out
-
-
 def _cluster(values: np.ndarray, gap: float):
-    """Single-linkage clusters of complex values at the given radius."""
+    """Single-linkage clusters of complex values at the given radius.
+
+    Returns the member indices of each cluster, ordered by the cluster mean,
+    and whether every two cluster means are more than ten radii apart.
+    """
     m = len(values)
     parent = list(range(m))
 
@@ -521,140 +502,109 @@ def _cluster(values: np.ndarray, gap: float):
                 parent[find(i)] = find(j)
     groups: dict = {}
     for i in range(m):
-        groups.setdefault(find(i), []).append(values[i])
-    reps = sorted((np.mean(c) for c in groups.values()),
-                  key=lambda z: (z.real, z.imag))
-    ok = all(abs(reps[i] - reps[j]) > 10 * gap
-             for i in range(len(reps)) for j in range(i))
-    return reps, ok
+        groups.setdefault(find(i), []).append(i)
+    means = {r: np.mean(values[c]) for r, c in groups.items()}
+    order = sorted(groups, key=lambda r: (means[r].real, means[r].imag))
+    ok = all(abs(means[r] - means[s]) > 10 * gap
+             for k, r in enumerate(order) for s in order[:k])
+    return [groups[r] for r in order], ok
 
 
-def _central_idempotents(A: TubeAlgebra, rng: np.random.Generator):
-    """Minimal central idempotents, as common eigenvectors of the center.
+def _left(u: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """The matrix of ``v -> u . v`` for u in the first corner of ``blk``."""
+    return np.einsum("x,xyz->zy", u, blk)
 
-    In the regular representation of the commutative semisimple center the
-    minimal idempotents are exactly the eigenvectors of a generic element,
-    so one small eigendecomposition replaces the numerically fragile
-    high-degree spectral-projector polynomial.
+
+def _sandwich(f: np.ndarray, e: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The matrix of ``v -> f . v . e`` on a diagonal corner, B its block."""
+    return _left(f, B) @ np.einsum("y,xyz->zx", e, B)
+
+
+def _corner_primitives(A: TubeAlgebra, i: int, rng: np.random.Generator) -> list:
+    """Primitive idempotents of the corner algebra A_ii that sum to its unit.
+
+    A_ii is semisimple, so the left action of a generic element a is
+    diagonalizable, and the spectral projector of each eigenvalue is the
+    left action of a primitive idempotent of A_ii: it is that projector
+    applied to the unit of A_ii.
     """
-    tol = A.spec.tol
-    center = _center_basis(A)
-    n_blocks = center.shape[0]
-    pinv = np.linalg.pinv(center.T)
+    spec = A.spec
+    cut = 1e3 * spec.tol
+    B = A.blocks[(i, i, i)]
+    unit = A.unit[A.corner_slices[(i, i)]]
+    m = len(unit)
     for _ in range(8):
-        coeffs = rng.standard_normal(n_blocks) + 1j * rng.standard_normal(n_blocks)
-        z0 = coeffs @ center
-        M = pinv @ A.left_mult_matrix(z0) @ center.T
-        vals, vecs = np.linalg.eig(M)
-        scale = max(1.0, float(np.abs(vals).max()))
-        reps, ok = _cluster(vals, 1e3 * tol * scale)
-        if not ok or len(reps) != n_blocks:
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vals, V = np.linalg.eig(_left(a, B))
+        clusters, ok = _cluster(vals, cut * max(1.0, float(np.abs(vals).max())))
+        if not ok:
             continue
-        out = []
-        good = True
-        for b in range(n_blocks):
-            u = vecs[:, b] @ center
-            uu = A.multiply(u, u)
-            kappa = (u.conj() @ uu) / (u.conj() @ u)
-            if abs(kappa) < 1e3 * tol:
-                good = False
-                break
-            zb = u / kappa
-            if np.abs(A.multiply(zb, zb) - zb).max() > 1e3 * tol:
-                good = False
-                break
-            out.append(zb)
-        if good:
-            total = sum(out)
-            if np.abs(total - A.unit).max() > 1e3 * tol:
-                raise DecompositionFailed("central idempotents do not resolve the unit")
-            return out
+        w = np.linalg.solve(V, unit)
+        prims = [V[:, c] @ w[c] for c in clusters]
+        if (np.abs(sum(prims) - unit).max() <= cut
+                and all(np.abs(_left(e, B) @ e - e).max() <= cut
+                        # primitive: e A_ii e is one-dimensional
+                        and _rank(_sandwich(e, e, B), spec.tol) == 1
+                        for e in prims)):
+            return prims
     raise DecompositionFailed(
-        f"eigenvalue clusters of the central element not separated at {1e3 * tol}")
+        f"corner {spec.labels[i].id}: no split into primitive idempotents "
+        f"separated at {cut}")
+
+
+def _blocks(A: TubeAlgebra, rng: np.random.Generator) -> list:
+    """The minimal blocks of A, as ``(i, e, mults)``.
+
+    e is a primitive idempotent of the lowest diagonal corner A_ii that the
+    block meets, and ``mults[j]`` is the rank of e's left action on corner
+    (j, i): the multiplicity of the simple j in the centre simple.  Two
+    primitives of one corner lie in one block iff ``e' A_ii e`` is non-zero.
+    """
+    spec = A.spec
+    n = spec.n_labels
+    out = []
+    for i in range(n):
+        B = A.blocks[(i, i, i)]
+        prims = _corner_primitives(A, i, rng)
+        kept = []
+        for e in prims:
+            mults = {j: _rank(_left(e, A.blocks[(j, i, i)]), spec.tol)
+                     if (j, i, i) in A.blocks else 0 for j in range(n)}
+            if any(mults[j] for j in range(i)) or any(
+                    _rank(_sandwich(f, e, B), spec.tol) for f in kept):
+                continue
+            kept.append(e)
+            out.append((i, e, mults))
+        if len(prims) != sum(m[i] for _, _, m in out):
+            raise DecompositionFailed(
+                f"corner {spec.labels[i].id}: the blocks do not account for its "
+                f"{len(prims)} primitive idempotents")
+    if sum(sum(m.values()) ** 2 for _, _, m in out) != A.dim:
+        raise DecompositionFailed("block sizes do not resolve the algebra dimension")
+    return out
 
 
 def decompose_tube_algebra(A: TubeAlgebra, seed: int = 0x5EED):
     """Minimal blocks of the tube algebra as canonical centre idempotents.
 
-    Central idempotents are produced by eigendecomposition of a seeded
-    random central element; each block is refined to a primitive idempotent
-    in a corner, transported onto a word carrier realizing the underlying
-    object, and returned in the normal form built from its extracted
-    half-braiding.  Block sizes satisfy ``sum n_b^2 = dim A`` exactly.
+    Each diagonal corner A_ii is split into primitive idempotents by one
+    eigendecomposition of a seeded generic element; each block is taken
+    from the lowest corner it meets, transported onto a word carrier
+    realizing the underlying object, and returned in the normal form built
+    from its extracted half-braiding.  Block sizes satisfy
+    ``sum n_b^2 = dim A`` exactly.
     """
-    spec = A.spec
     rng = np.random.default_rng(seed)
-    tol = spec.tol
-    out = []
-    sizes = []
-    for zb in _central_idempotents(A, rng):
-        r = _rank(A.left_mult_matrix(zb), tol)
-        n_b = int(round(np.sqrt(r)))
-        if n_b * n_b != r:
-            raise DecompositionFailed(f"block rank {r} is not a perfect square")
-        sizes.append(n_b)
-        i0, e = _primitive_in_block(A, zb, rng)
-        out.append(_block_normal_form(A, i0, e, n_b, seed=seed))
-    if sum(s * s for s in sizes) != A.dim:
-        raise DecompositionFailed("block sizes do not resolve the algebra dimension")
-    return out
+    return [_block_normal_form(A, i, e, mults, seed=seed)
+            for i, e, mults in _blocks(A, rng)]
 
 
-def _primitive_in_block(A: TubeAlgebra, zb: np.ndarray,
-                        rng: np.random.Generator) -> tuple:
-    """A primitive idempotent refining zb, as ``(i, e)`` with e in A_ii coordinates.
-
-    zb is central, so its (i, i) part q is the unit of q A q = q A_ii q and
-    the refinement stays inside the corner algebra A_ii.
-    """
-    tol = A.spec.tol
-    for i in range(A.spec.n_labels):
-        q = zb[A.corner_slices[(i, i)]]
-        if np.abs(q).max() > 1e3 * tol:
-            break
-    else:
-        raise DecompositionFailed("central idempotent vanishes on all corners")
-    B = A.blocks[(i, i, i)]
-
-    def left(u):    # the matrix of v -> u . v on A_ii
-        return np.einsum("x,xyz->zy", u, B)
-
-    Q = np.einsum("xyz,y->zx", B, q) @ left(q)    # column x is q . basis_x . q
-    basis = _column_basis(Q, tol)
-    m2 = basis.shape[1]
-    m = int(round(np.sqrt(m2)))
-    if m * m != m2:
-        raise DecompositionFailed("corner subalgebra dimension is not a square")
-    if m == 1:
-        return i, q
-    for _ in range(8):
-        a = basis @ (rng.standard_normal(m2) + 1j * rng.standard_normal(m2))
-        # left multiplication restricted to the corner subalgebra
-        La = np.linalg.lstsq(basis, left(a) @ basis, rcond=None)[0]
-        vals = np.linalg.eigvals(La)
-        scale = max(1.0, float(np.abs(vals).max()))
-        reps, ok = _cluster(vals, 1e3 * tol * scale)
-        if ok and len(reps) == m:
-            e = q    # spectral projector onto the eigenvalue reps[0]
-            for mu in reps[1:]:
-                e = left(e) @ (a - mu * q) / (reps[0] - mu)
-            if np.abs(left(e) @ e - e).max() < 1e3 * tol:
-                return i, e
-    raise DecompositionFailed("could not refine the block to a primitive idempotent")
-
-
-def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, n_b: int,
+def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, mults: dict,
                        seed: int) -> CentreIdempotent:
-    """Transport a primitive idempotent of A_{i0 i0} to its word carrier.
-
-    The multiplicity of i is the rank of e's left action on corner (i, i0),
-    read from ``A.blocks[(i, i0, i0)]``.
-    """
+    """Transport a primitive idempotent of A_{i0 i0} to its word carrier."""
     spec = A.spec
     e = np.where(np.abs(e) < 1e-9 * np.abs(e).max(), 0, e)
     e_t = tube_from_vector(spec, (i0,), (i0,), e)
-    mults = {i: _rank(np.einsum("x,xyz->zy", e, A.blocks[(i, i0, i0)]), spec.tol)
-             if (i, i0, i0) in A.blocks else 0 for i in range(spec.n_labels)}
     W = _word_with_channels(spec, mults)
     rng = np.random.default_rng(seed ^ 0xA5A5)
     for _ in range(8):
@@ -671,7 +621,7 @@ def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, n_b: int,
         except SplitFailed:
             continue
         ci = eps_from_half_braiding(hb, origin="from_block_decomposition", mults=mults)
-        ci.block_size = n_b
+        ci.block_size = sum(mults.values())
         ci.twist = _centre_twist(hb, ci.mults)
         return ci
     raise DecompositionFailed("transport onto the word carrier failed")

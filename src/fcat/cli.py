@@ -9,6 +9,7 @@ passed, 1 means some check failed, 2 means a schema or usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -415,12 +416,12 @@ def run(argv) -> int:
 
 
 def _emit(report, out_path):
-    text = json.dumps(report, indent=1, default=_json_default)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # Streamed: the whole indented text of a large report would outweigh the
+    # algebra it describes.
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        json.dump(report, fh, indent=1, default=_json_default)
+        fh.write("\n")
 
 
 def _json_default(obj):

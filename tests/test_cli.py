@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -95,6 +96,13 @@ def test_tube_algebra_out_file(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["result"]["dim"] == 4
     assert len(rep["result"]["basis"]) == 4
+    # the file and stdout carry the same text, ended by one newline
+    capsys.readouterr()
+    assert run(["tube-algebra", _data("vec_z2")]) == 0
+    printed = capsys.readouterr().out
+    untimed = [re.sub(r'"elapsed_ms": \d+', "", t) for t in (out.read_text(), printed)]
+    assert untimed[0] == untimed[1]
+    assert printed.endswith("}\n")
 
 
 def test_centre_report(capsys):
