@@ -160,20 +160,20 @@ class CategorySpec:
         return complex(self.pivotal.d[a])
 
 
-def load_category(path, tol: float | None = None, unitary: bool = False) -> CategorySpec:
+def load_category(path, tol: float | None = None) -> CategorySpec:
     """Load and fully validate a category file (UTF-8 JSON).
 
     Raises SchemaError for malformed documents, MissingData if quantum
     dimensions are absent, and ConsistencyError when a structural identity
     (unit law, duality, fusion associativity, pentagon, hexagon,
-    sphericality) fails beyond tolerance.
+    sphericality, zig-zag) fails beyond tolerance.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    return _load_document(doc, tol=tol, unitary=unitary)
+    return _load_document(doc, tol=tol)
 
 
 def builtin_names() -> list[str]:
@@ -188,7 +188,7 @@ def load_builtin(name: str, tol: float | None = None) -> CategorySpec:
     return load_category(path, tol=tol)
 
 
-def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
+def _load_document(doc, tol=None) -> CategorySpec:
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be a JSON object")
     for key in ("name", "labels", "unit", "dual", "N", "F", "dims"):
@@ -332,10 +332,6 @@ def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
                                 "triangle", res,
                                 f"unit F block ({ids[a]},{ids[b]},{ids[c]};{ids[dd]})"
                                 " is not the identity")
-                    if unitary:
-                        res = float(np.abs(F @ F.conj().T - np.eye(len(lhs_b))).max())
-                        if res > use_tol:
-                            raise ConsistencyError("unitarity", res)
 
     rep = validate_pentagon(spec)
     if rep["max_residual"] > use_tol:
@@ -357,6 +353,10 @@ def _load_document(doc, tol=None, unitary=False) -> CategorySpec:
         res = validate_hexagon(spec)["max_residual"]
         if res > use_tol:
             raise ConsistencyError("hexagon", res)
+    # both zig-zags, which sphericality alone does not imply (a self-dual
+    # simple's Frobenius-Schur sign must match the sign of its dimension)
+    from .diagrams import _bend_scalars    # diagrams imports this module
+    _bend_scalars(spec)
     return spec
 
 

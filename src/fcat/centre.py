@@ -25,7 +25,7 @@ from .errors import (DecompositionFailed, NotBraided, NotHalfBraiding,
                      NotModular, ShapeMismatch, SplitFailed)
 from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix,
                    random_tube_morphism, tube_compose, tube_from_vector,
-                   tube_layout, tube_to_vector)
+                   tube_layout)
 
 __all__ = [
     "HalfBraiding", "CentreIdempotent", "ModularData",
@@ -151,12 +151,8 @@ def _graded_idempotent(hb: HalfBraiding) -> TubeMorphism:
     """The tube endomorphism of the carrier with grade-S component ``d(S)/D2 tau_S``."""
     spec = hb.spec()
     D2 = spec.pivotal.D2
-    comps = {}
-    for s, m in hb.tau.items():
-        comp = (spec.pivotal.d[s] / D2) * m
-        if comp.norm() > spec.tol:
-            comps[s] = comp
-    return TubeMorphism(spec, hb.object, hb.object, comps)
+    return TubeMorphism.from_components(spec, hb.object, hb.object, {
+        s: (spec.pivotal.d[s] / D2) * m for s, m in hb.tau.items()}).prune()
 
 
 def braiding_half_braiding(spec: CategorySpec, I, J) -> HalfBraiding:
@@ -286,7 +282,7 @@ def handle_slide_check(hb: HalfBraiding, alpha: TubeMorphism,
             raise ShapeMismatch("alpha must map into the half-braiding carrier")
         Y = alpha.src
         lhs = tube_compose(eps, alpha)
-        out = TubeMorphism(spec, Y, X, {})
+        comps = {}
         for R in range(spec.n_labels):
             acc = zero_morphism(spec, (R,) + Y, X + (R,))
             for G, aG in alpha.components.items():
@@ -297,15 +293,13 @@ def handle_slide_check(hb: HalfBraiding, alpha: TubeMorphism,
                 s3 = tensor(tau_word(hb, (R, Gd)), identity(spec, (G,)))
                 s4 = tensor(identity(spec, X + (R,)), cap_word(spec, (G,)))
                 acc = acc + compose(s4, compose(s3, compose(s2, s1)))
-            acc = (spec.pivotal.d[R] / D2) * acc
-            if acc.norm() > spec.tol:
-                out = out + TubeMorphism(spec, Y, X, {R: acc})
-        return (lhs - out).norm()
+            comps[R] = (spec.pivotal.d[R] / D2) * acc
+        return (lhs - TubeMorphism.from_components(spec, Y, X, comps).prune()).norm()
     if alpha.src != X:
         raise ShapeMismatch("alpha must map out of the half-braiding carrier")
     Y = alpha.dst
     lhs = tube_compose(alpha, eps)
-    out = TubeMorphism(spec, X, Y, {})
+    comps = {}
     for R in range(spec.n_labels):
         acc = zero_morphism(spec, (R,) + X, Y + (R,))
         for G, bG in alpha.components.items():
@@ -316,10 +310,8 @@ def handle_slide_check(hb: HalfBraiding, alpha: TubeMorphism,
             s4 = tensor(identity(spec, Y),
                         tensor(cap_word(spec, (Gd,)), identity(spec, (R,))))
             acc = acc + compose(s4, compose(s3, compose(s2, s1)))
-        acc = (spec.pivotal.d[R] / D2) * acc
-        if acc.norm() > spec.tol:
-            out = out + TubeMorphism(spec, X, Y, {R: acc})
-    return (lhs - out).norm()
+        comps[R] = (spec.pivotal.d[R] / D2) * acc
+    return (lhs - TubeMorphism.from_components(spec, X, Y, comps).prune()).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +603,7 @@ def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, mults: dict,
         x = tube_compose(e_t, random_tube_morphism(spec, W, (i0,), rng))
         y = tube_compose(random_tube_morphism(spec, (i0,), W, rng), e_t)
         t1 = tube_compose(x, y)
-        ve, vt = tube_to_vector(e_t), tube_to_vector(t1)
+        ve, vt = e_t.v, t1.v
         c = (ve.conj() @ vt) / (ve.conj() @ ve)
         if abs(c) < 1e-6 or np.abs(vt - c * ve).max() > 1e-6 * max(1, abs(c)):
             continue

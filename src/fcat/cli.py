@@ -329,7 +329,7 @@ def cmd_check(spec, args, checks):
 
 
 def _grade_unit(spec, R):
-    return TubeMorphism(spec, (), (), {R: identity(spec, (R,))})
+    return TubeMorphism.from_components(spec, (), (), {R: identity(spec, (R,))})
 
 
 def embed_norm_ratio(spec, f) -> float:
@@ -337,11 +337,7 @@ def embed_norm_ratio(spec, f) -> float:
 
 
 def unembed_scalar(t, T) -> complex:
-    comp = t.components.get(T)
-    if comp is None:
-        return 0.0
-    blk = comp.block(T)
-    return complex(blk[0, 0]) if blk.size else 0.0
+    return complex(t.component(T).block(T)[0, 0])
 
 
 COMMANDS = {

@@ -10,11 +10,12 @@ simples is Ocneanu's tube algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .category import CategorySpec, hom_dim
+from .category import CategorySpec
 from .diagrams import (Morphism, cap_word, compose, cup_word, factor,
                        identity, random_morphism, tensor, tree_basis, tree_dims,
                        zero_morphism)
@@ -32,12 +33,38 @@ __all__ = [
 class TubeMorphism:
     """An element of ``Hom_TC(src, dst) = sum_R Hom(R ++ src, dst ++ R)``.
 
-    ``components[R]`` is a plain :class:`Morphism`; absent grades are zero.
+    ``v`` holds its :func:`tube_layout` coordinates; :meth:`component` reads
+    grade R back as a plain :class:`Morphism`.  Values are immutable by
+    convention: ``components`` is computed once per value.
     """
     spec: CategorySpec
     src: tuple
     dst: tuple
-    components: dict
+    v: np.ndarray
+
+    @classmethod
+    def from_components(cls, spec: CategorySpec, X, Y, comps: dict) -> "TubeMorphism":
+        """The tube morphism with grade-R component ``comps[R]``; absent grades are zero."""
+        X = tuple(spec.word(X))
+        Y = tuple(spec.word(Y))
+        entries, dim = tube_layout(spec, X, Y)
+        v = np.zeros(dim, dtype=complex)
+        for R, k, nr, nc, off in entries:
+            b = comps[R].blocks.get(k) if R in comps else None
+            if b is not None:
+                v[off:off + nr * nc] = b.reshape(-1)
+        return cls(spec, X, Y, v)
+
+    @cached_property
+    def components(self) -> dict:
+        """The non-zero grades, ``{R: Morphism}``, each without its zero blocks."""
+        blocks: dict = {}
+        for R, k, nr, nc, off in tube_layout(self.spec, self.src, self.dst)[0]:
+            blk = self.v[off:off + nr * nc].reshape(nr, nc)
+            if np.abs(blk).max():
+                blocks.setdefault(R, {})[k] = blk
+        return {R: Morphism(self.spec, (R,) + self.src, self.dst + (R,), b)
+                for R, b in blocks.items()}
 
     def component(self, R: int) -> Morphism:
         c = self.components.get(R)
@@ -46,65 +73,51 @@ class TubeMorphism:
         return zero_morphism(self.spec, (R,) + self.src, self.dst + (R,))
 
     def norm(self) -> float:
-        vals = [c.norm() for c in self.components.values()]
-        return float(max(vals)) if vals else 0.0
+        return float(np.abs(self.v).max()) if self.v.size else 0.0
 
     def prune(self) -> "TubeMorphism":
-        comps = {R: c for R, c in self.components.items()
-                 if c.norm() > self.spec.tol}
-        return replace(self, components=comps)
+        """Zero each grade whose entries are all at most ``spec.tol`` in modulus."""
+        spans: dict = {}    # tube_layout lists each grade's entries contiguously
+        for R, _, nr, nc, off in tube_layout(self.spec, self.src, self.dst)[0]:
+            spans[R] = (spans.get(R, (off,))[0], off + nr * nc)
+        v = self.v.copy()
+        for a, b in spans.values():
+            if np.abs(v[a:b]).max() <= self.spec.tol:
+                v[a:b] = 0
+        return replace(self, v=v)
 
     def __add__(self, other: "TubeMorphism") -> "TubeMorphism":
         if (self.spec is not other.spec or self.src != other.src
                 or self.dst != other.dst):
             raise ShapeMismatch("tube morphisms are not parallel")
-        comps = dict(self.components)
-        for R, c in other.components.items():
-            comps[R] = comps[R] + c if R in comps else c
-        return replace(self, components=comps)
+        return replace(self, v=self.v + other.v)
 
     def __sub__(self, other: "TubeMorphism") -> "TubeMorphism":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "TubeMorphism":
-        return replace(self, components={R: scalar * c
-                                         for R, c in self.components.items()})
+        return replace(self, v=scalar * self.v)
 
     __rmul__ = __mul__
 
 
 def tube_hom_dim(spec: CategorySpec, X, Y) -> int:
     """dim Hom_TC(X, Y) = sum_R dim Hom(R ++ X, Y ++ R)."""
-    X = tuple(spec.word(X))
-    Y = tuple(spec.word(Y))
-    return sum(hom_dim(spec, (R,) + X, Y + (R,)) for R in range(spec.n_labels))
-
-
-def _pad_unit(f: Morphism) -> Morphism:
-    """Reinterpret ``f : X -> Y`` as ``unit ++ X -> Y ++ unit``.
-
-    The canonical tree bases of the padded words are in order-preserving
-    bijection with the original ones, so the blocks carry over unchanged.
-    """
-    spec = f.spec
-    src = (spec.unit,) + f.src
-    dst = f.dst + (spec.unit,)
-    return Morphism(spec, src, dst, dict(f.blocks))
-
-
-def _strip_unit(c: Morphism) -> Morphism:
-    spec = c.spec
-    return Morphism(spec, c.src[1:], c.dst[:-1], dict(c.blocks))
+    return tube_layout(spec, X, Y)[1]
 
 
 def embed(f: Morphism) -> TubeMorphism:
-    """The inclusion of a plain morphism as the unit-graded tube morphism."""
-    return TubeMorphism(f.spec, f.src, f.dst, {f.spec.unit: _pad_unit(f)})
+    """The inclusion of a plain morphism as the unit-graded tube morphism.
+
+    The tree bases of ``unit ++ X`` and ``Y ++ unit`` are in order-preserving
+    bijection with those of X and Y, so f's blocks are the unit-grade blocks.
+    """
+    return TubeMorphism.from_components(f.spec, f.src, f.dst, {f.spec.unit: f})
 
 
 def unembed(t: TubeMorphism) -> Morphism:
     """The plain part (unit-grade component) of a tube morphism."""
-    return _strip_unit(t.component(t.spec.unit))
+    return Morphism(t.spec, t.src, t.dst, t.component(t.spec.unit).blocks)
 
 
 def tube_identity(spec: CategorySpec, X) -> TubeMorphism:
@@ -124,7 +137,7 @@ def tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
     if f.dst != g.src:
         raise ShapeMismatch(f"cannot compose {g.src} after {f.dst}")
     v = _compose_matrix(g, f.src, True, [f])[:, 0]
-    return tube_from_vector(spec, f.src, g.dst, v).prune()
+    return TubeMorphism(spec, f.src, g.dst, v).prune()
 
 
 def lift(spec: CategorySpec, alpha: Morphism, G) -> TubeMorphism:
@@ -144,7 +157,7 @@ def lift(spec: CategorySpec, alpha: Morphism, G) -> TubeMorphism:
     where = {(S, k): slice(off, off + nr * nc) for S, k, nr, nc, off in entries}
     v = np.zeros(dim, dtype=complex)
     _resolve(v, where, _conjugators(spec, G, X, Y), alpha.blocks)
-    return tube_from_vector(spec, X, Y, v).prune()
+    return TubeMorphism(spec, X, Y, v).prune()
 
 
 def _conjugators(spec: CategorySpec, G: tuple, X: tuple, Z: tuple) -> dict:
@@ -194,8 +207,8 @@ def _compose_matrix(fixed: TubeMorphism, other, left: bool, probes=None) -> np.n
     X, Y, Z = (other, fixed.src, fixed.dst) if left else (fixed.src, fixed.dst, other)
     P = (X, Y) if left else (Y, Z)
     if probes is None:
-        probes = [tube_from_vector(spec, *P, e)
-                  for e in np.eye(tube_layout(spec, *P)[1])]
+        probes = [TubeMorphism(spec, *P, e)
+                  for e in np.eye(tube_layout(spec, *P)[1], dtype=complex)]
     entries, dim = tube_layout(spec, X, Z)
     where = {(T, k): slice(off, off + nr * nc) for T, k, nr, nc, off in entries}
     M = np.zeros((dim, len(probes)), dtype=complex)
@@ -273,44 +286,21 @@ def tube_layout(spec: CategorySpec, X, Y):
 
 
 def tube_to_vector(t: TubeMorphism) -> np.ndarray:
-    entries, dim = tube_layout(t.spec, t.src, t.dst)
-    v = np.zeros(dim, dtype=complex)
-    for R, k, nr, nc, off in entries:
-        comp = t.components.get(R)
-        if comp is None:
-            continue
-        b = comp.blocks.get(k)
-        if b is not None:
-            v[off:off + nr * nc] = b.reshape(-1)
-    return v
+    return t.v
 
 
 def tube_from_vector(spec: CategorySpec, X, Y, v) -> TubeMorphism:
-    X = tuple(spec.word(X))
-    Y = tuple(spec.word(Y))
-    entries, dim = tube_layout(spec, X, Y)
-    comps: dict = {}
-    for R, k, nr, nc, off in entries:
-        blk = np.asarray(v[off:off + nr * nc], dtype=complex).reshape(nr, nc)
-        if not blk.size or not np.abs(blk).max():
-            continue
-        comp = comps.setdefault(R, {})
-        comp[k] = blk
-    return TubeMorphism(spec, X, Y, {
-        R: Morphism(spec, (R,) + X, Y + (R,), blocks)
-        for R, blocks in comps.items()})
+    return TubeMorphism(spec, tuple(spec.word(X)), tuple(spec.word(Y)),
+                        np.asarray(v, dtype=complex))
 
 
 def random_tube_morphism(spec: CategorySpec, X, Y, rng: np.random.Generator
                          ) -> TubeMorphism:
     X = tuple(spec.word(X))
     Y = tuple(spec.word(Y))
-    comps = {}
-    for R in range(spec.n_labels):
-        m = random_morphism(spec, (R,) + X, Y + (R,), rng)
-        if m.blocks:
-            comps[R] = m
-    return TubeMorphism(spec, X, Y, comps)
+    return TubeMorphism.from_components(spec, X, Y, {
+        R: random_morphism(spec, (R,) + X, Y + (R,), rng)
+        for R in range(spec.n_labels)})
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +369,8 @@ def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
                     for c in range(nc):
                         basis.append((i, j, R, k, r, c))
             corner_slices[(i, j)] = slice(start, len(basis))
-            basis_tubes[(i, j)] = [tube_from_vector(spec, (i,), (j,), e)
-                                   for e in np.eye(size)]
+            basis_tubes[(i, j)] = [TubeMorphism(spec, (i,), (j,), e)
+                                   for e in np.eye(size, dtype=complex)]
     blocks = {}
     for i, l, j in product(range(n), repeat=3):
         if all(basis_tubes[c] for c in ((j, l), (i, j), (i, l))):
@@ -390,7 +380,7 @@ def tube_algebra(spec: CategorySpec) -> TubeAlgebra:
     structure = np.concatenate([b.ravel() for b in blocks.values()])
     unit = np.zeros(len(basis), dtype=complex)
     for i in range(n):
-        unit[corner_slices[(i, i)]] = tube_to_vector(tube_identity(spec, (i,)))
+        unit[corner_slices[(i, i)]] = tube_identity(spec, (i,)).v
     structure.flags.writeable = False
     unit.flags.writeable = False
     ends = np.cumsum([b.size for b in blocks.values()])

@@ -75,7 +75,7 @@ def test_criterion_04_grothendieck_isomorphism(specs):
         n = spec.n_labels
 
         def grade_unit(R):
-            return TubeMorphism(spec, (), (), {R: identity(spec, (R,))})
+            return TubeMorphism.from_components(spec, (), (), {R: identity(spec, (R,))})
 
         for a in range(n):
             for b in range(n):
@@ -86,7 +86,7 @@ def test_criterion_04_grothendieck_isomorphism(specs):
                     ok &= round(abs(got)) == spec.rules.N[a, b, T] \
                         and abs(got - round(got.real)) < 1e-9
     fib = specs["fibonacci"]
-    e_tau = TubeMorphism(fib, (), (), {1: identity(fib, (1,))})
+    e_tau = TubeMorphism.from_components(fib, (), (), {1: identity(fib, (1,))})
     sq = tube_compose(e_tau, e_tau)
     ok &= abs(sq.components[0].block(0)[0, 0] - 1) < 1e-9
     ok &= abs(sq.components[1].block(1)[0, 0] - 1) < 1e-9

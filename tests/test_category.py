@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -220,6 +222,34 @@ def test_wrong_dims_rejected(tmp_path):
     with pytest.raises(ConsistencyError) as err:
         _load_doc(tmp_path, doc)
     assert err.value.kind == "sphericality"
+
+
+def _vec_z4_omega1():
+    """Vec_{Z_4} twisted by the cocycle with F^{abc} = exp(2 pi i a(b+c-[b+c]_4)/16),
+    all dims 1: spherical and pentagon-valid, but F^{a2 a2 a2} = -1 makes the
+    self-dual a2 Frobenius-Schur negative, so no zig-zag normalization exists."""
+    ids = [f"a{g}" for g in range(4)]
+    F = []
+    for a, b, c in product(range(4), repeat=3):
+        z = cmath.exp(2j * math.pi * a * (b + c - (b + c) % 4) / 16)
+        F.append([ids[a], ids[b], ids[c], ids[(a + b + c) % 4], ids[(a + b) % 4],
+                  ids[(b + c) % 4], 0, 0, 0, 0, z.real, z.imag])
+    return {"name": "vec_z4_omega1", "labels": ids, "unit": "a0",
+            "dual": {ids[g]: ids[-g % 4] for g in range(4)},
+            "N": [[ids[a], ids[b], ids[(a + b) % 4], 1]
+                  for a, b in product(range(4), repeat=2)],
+            "F": F, "dims": {i: [1.0, 0.0] for i in ids}}
+
+
+def test_zigzag_checked_at_load(tmp_path, capsys):
+    doc = _vec_z4_omega1()
+    with pytest.raises(ConsistencyError) as err:
+        _load_doc(tmp_path, doc)
+    assert err.value.kind == "zigzag"
+    assert run(["validate", str(tmp_path / "cat.json")]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["checks"][0]["name"] == "load:zigzag"
+    assert rep["checks"][0]["pass"] is False
 
 
 def test_schema_errors(tmp_path):

@@ -1,19 +1,22 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fcat import (NotBraided, NotHalfBraiding, NotModular, SplitFailed,
-                  braiding_half_braiding, completeness_check,
+                  braiding_half_braiding, c_morphism_inv, completeness_check,
                   decompose_tube_algebra, eps_from_half_braiding, eps_xy,
                   half_braiding_from_idempotent, half_braiding_residual,
                   handle_slide_check, hom_between_idempotents,
                   idempotent_hom_dim, identity, is_modular, killing_ring_eval,
+                  load_category,
                   modular_data, random_tube_morphism, s_matrix, slice_checks,
                   t_matrix, tube_algebra, tube_compose, tube_identity)
-from fcat.centre import HalfBraiding, _idempotent_mults
+from fcat.centre import HalfBraiding, _blocks, _idempotent_mults
 from fcat.tube import tube_hom_dim, tube_to_vector
+from su2k import su2k_document
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -405,3 +408,50 @@ def test_block_mults_count_tube_dims(specs):
             for j in range(n):
                 via = sum(b.mults.get(i, 0) * b.mults.get(j, 0) for b in blocks)
                 assert via == tube_hom_dim(spec, (i,), (j,))
+
+
+def _corner_twists(A):
+    """(block size, twist) of each centre simple, read off its corner split.
+
+    For a primitive idempotent e of the corner A_ii and the rotation t of
+    End_TC([i]), ``e t e = lambda e``; the twist is conj(lambda).  No
+    half-braiding is extracted.
+    """
+    out = []
+    for i, e, mults in _blocks(A, np.random.default_rng(0x5EED)):
+        B = A.blocks[(i, i, i)]
+        t = c_morphism_inv(A.spec, (i,), ()).v
+        ete = np.einsum("x,y,xyz->z", e, np.einsum("x,y,xyz->z", t, e, B), B)
+        lam = (e.conj() @ ete) / (e.conj() @ e)
+        assert np.abs(ete - lam * e).max() < 1e-9
+        out.append((sum(mults.values()), np.conj(lam)))
+    return out
+
+
+def _same_twists(got, want) -> bool:
+    key = lambda p: (p[0], round(p[1].real, 6), round(p[1].imag, 6))
+    got, want = sorted(got, key=key), sorted(want, key=key)
+    return ([s for s, _ in got] == [s for s, _ in want]
+            and all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(got, want)))
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3",
+                                  "su2_2", "su2_3", "su2_4"])
+def test_twists_from_the_corner_split(specs, su2, tmp_path, name):
+    if name == "su2_4":
+        p = tmp_path / "su2_4.json"
+        p.write_text(json.dumps(su2k_document(4)))
+        spec = load_category(p)
+    else:
+        spec = su2[int(name[4:])] if name.startswith("su2_") else specs[name]
+    A = tube_algebra(spec)
+    want = [(b.block_size, b.twist) for b in decompose_tube_algebra(A)]
+    assert _same_twists(_corner_twists(A), want)
+
+
+def test_twists_from_the_corner_split_of_vec_s3(s3):
+    # D(S3), out of reach of decompose_tube_algebra (no word carrier)
+    w = cmath.exp(2j * math.pi / 3)
+    want = [(1, 1), (1, 1), (2, 1), (2, 1), (2, w), (2, w.conjugate()),
+            (3, 1), (3, -1)]
+    assert _same_twists(_corner_twists(tube_algebra(s3)), want)

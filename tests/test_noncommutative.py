@@ -35,7 +35,7 @@ def test_tube_algebra_is_group_theoretic(s3):
     assert total == 36
 
     def grade_unit(R):
-        return TubeMorphism(s3, (), (), {R: identity(s3, (R,))})
+        return TubeMorphism.from_components(s3, (), (), {R: identity(s3, (R,))})
 
     # End_TC(unit) is the group ring: composition respects the group order
     for a in range(6):

@@ -16,11 +16,11 @@ def oracle_lift(spec, alpha, G) -> TubeMorphism:
     dual basis (b, b*) of ``Hom(S, G)``, built diagrammatically with tensor."""
     n = len(G)
     X, Y = alpha.src[n:], alpha.dst[:len(alpha.dst) - n]
-    out = TubeMorphism(spec, X, Y, {})
+    out = TubeMorphism.from_components(spec, X, Y, {})
     for S, b, bstar in decompose_resolution(spec, G):
         comp = compose(tensor(identity(spec, Y), bstar),
                        compose(alpha, tensor(b, identity(spec, X))))
-        out = out + TubeMorphism(spec, X, Y, {S: comp})
+        out = out + TubeMorphism.from_components(spec, X, Y, {S: comp})
     return out.prune()
 
 
@@ -28,7 +28,7 @@ def oracle_tube_compose(g: TubeMorphism, f: TubeMorphism) -> TubeMorphism:
     """Diagrammatic annular stacking: over grades S of g and R of f, the
     lift graded by (S, R) of ``(g_S (x) id_R) . (id_S (x) f_R)``."""
     spec = f.spec
-    out = TubeMorphism(spec, f.src, g.dst, {})
+    out = TubeMorphism.from_components(spec, f.src, g.dst, {})
     for S, gS in g.components.items():
         for R, fR in f.components.items():
             mid = compose(tensor(gS, identity(spec, (R,))),
@@ -149,7 +149,7 @@ def test_grothendieck_ring(specs):
         n = spec.n_labels
 
         def grade_unit(R):
-            return TubeMorphism(spec, (), (), {R: identity(spec, (R,))})
+            return TubeMorphism.from_components(spec, (), (), {R: identity(spec, (R,))})
 
         for a in range(n):
             for b in range(n):
