@@ -15,6 +15,7 @@ basis), optional R-symbols (braiding) and quantum dimensions.  Conventions:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -207,19 +208,34 @@ def _load_document(doc, tol=None) -> CategorySpec:
     labels = tuple(Label(s, i) for i, s in enumerate(ids))
 
     def look(s):
-        if s not in index:
+        if not isinstance(s, str) or s not in index:
             raise SchemaError(f"unknown label {s!r}")
         return index[s]
 
-    def finite(z, field):
-        if not np.isfinite(z).all():
+    def number(x, field):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise SchemaError(f"{field!r} holds {x!r}, which is not a number")
+        if not abs(x) <= sys.float_info.max:    # NaN, infinities, huge integers
             raise SchemaError(f"non-finite value in {field!r}")
-        return z
+        return x
+
+    def count(x, field):
+        """A non-negative integer: a vertex index or a multiplicity."""
+        if number(x, field) < 0 or x != int(x):
+            raise SchemaError(f"{field!r} holds {x!r}, which is not a count")
+        return int(x)
+
+    def rows(field, width, shape):
+        table = doc[field]
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and len(row) == width for row in table):
+            raise SchemaError(f"each {field} row must be {shape}")
+        return table
 
     unit = look(doc["unit"])
 
     dual = np.zeros(n, dtype=int)
-    if set(doc["dual"]) != set(ids):
+    if not isinstance(doc["dual"], dict) or set(doc["dual"]) != set(ids):
         raise SchemaError("'dual' must map every label")
     for s, t in doc["dual"].items():
         dual[look(s)] = look(t)
@@ -229,10 +245,8 @@ def _load_document(doc, tol=None) -> CategorySpec:
         raise ConsistencyError("duality", 1.0, "dual(1) != 1")
 
     N = np.zeros((n, n, n), dtype=int)
-    for row in doc["N"]:
-        if len(row) != 4:
-            raise SchemaError("each N row must be [a, b, c, m]")
-        a, b, c, m = look(row[0]), look(row[1]), look(row[2]), int(row[3])
+    for row in rows("N", 4, "[a, b, c, m]"):
+        a, b, c, m = look(row[0]), look(row[1]), look(row[2]), count(row[3], "N")
         if m < 1:
             raise SchemaError("N multiplicities must be >= 1 when listed")
         N[a, b, c] = m
@@ -257,12 +271,10 @@ def _load_document(doc, tol=None) -> CategorySpec:
                                "fusion multiplicities are not associative")
 
     f_entries: dict = {}
-    for row in doc["F"]:
-        if len(row) != 12:
-            raise SchemaError("each F row must have 12 entries")
+    for row in rows("F", 12, "12 entries"):
         a, b, c, d, e, f = (look(row[i]) for i in range(6))
-        al, be, ga, de = (int(x) for x in row[6:10])
-        val = finite(complex(float(row[10]), float(row[11])), "F")
+        al, be, ga, de = (count(x, "F") for x in row[6:10])
+        val = complex(number(row[10], "F"), number(row[11], "F"))
         if not (al < N[a, b, e] and be < N[e, c, d] and ga < N[b, c, f] and de < N[a, f, d]):
             raise SchemaError(
                 f"F entry on fusion-forbidden channel: {[ids[x] for x in (a, b, c, d, e, f)]}")
@@ -272,22 +284,25 @@ def _load_document(doc, tol=None) -> CategorySpec:
     rtable = None
     if doc.get("R") is not None:
         r_entries: dict = {}
-        for row in doc["R"]:
-            if len(row) != 7:
-                raise SchemaError("each R row must have 7 entries")
+        for row in rows("R", 7, "7 entries"):
             a, b, c = look(row[0]), look(row[1]), look(row[2])
-            mu, nu = int(row[3]), int(row[4])
-            val = finite(complex(float(row[5]), float(row[6])), "R")
+            mu, nu = count(row[3], "R"), count(row[4], "R")
+            val = complex(number(row[5], "R"), number(row[6], "R"))
             if not (mu < N[a, b, c] and nu < N[b, a, c]):
                 raise SchemaError("R entry on fusion-forbidden channel")
             r_entries.setdefault((a, b, c), {})[(mu, nu)] = val
         rtable = RSymbolTable(entries=r_entries)
 
-    if set(doc["dims"]) != set(ids):
+    dims = doc["dims"]
+    if not isinstance(dims, dict):
+        raise SchemaError("'dims' must be an object label -> [re, im]")
+    if set(dims) != set(ids):
         raise MissingData("'dims' must list every label")
-    d = finite(np.array([complex(doc["dims"][s][0], doc["dims"][s][1]) for s in ids]), "dims")
+    if not all(isinstance(dims[s], list) and len(dims[s]) == 2 for s in ids):
+        raise SchemaError("each 'dims' value must be [re, im]")
+    d = np.array([complex(*(number(x, "dims") for x in dims[s])) for s in ids])
     d.flags.writeable = False
-    use_tol = float(tol if tol is not None else doc.get("tol", 1e-9))
+    use_tol = float(tol if tol is not None else number(doc.get("tol", 1e-9), "tol"))
     if not 0 < use_tol < np.inf:
         raise SchemaError("'tol' must be positive and finite")
 

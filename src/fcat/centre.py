@@ -23,9 +23,9 @@ from .diagrams import (Morphism, basis_projection, cap_word, compose, cup_word,
                        braid_word, tensor, trace, tree_dims, zero_morphism)
 from .errors import (DecompositionFailed, NotBraided, NotHalfBraiding,
                      NotModular, ShapeMismatch, SplitFailed)
-from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix,
-                   random_tube_morphism, tube_compose, tube_from_vector,
-                   tube_layout)
+from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix, c_morphism_inv,
+                   random_tube_morphism, tube_algebra, tube_compose,
+                   tube_from_vector, tube_hom_dim, tube_layout)
 
 __all__ = [
     "HalfBraiding", "CentreIdempotent", "ModularData",
@@ -178,11 +178,13 @@ def eps_xy(spec: CategorySpec, I, J) -> CentreIdempotent:
     return ci
 
 
+def _cut(sv: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values ``sv`` count as non-zero."""
+    return int(np.sum(sv > tol * max(1.0, sv[0]))) if sv.size else 0
+
+
 def _rank(M: np.ndarray, tol: float) -> int:
-    if not M.size:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, sv[0])))
+    return _cut(np.linalg.svd(M, compute_uv=False), tol)
 
 
 def _idempotent_mults(e: TubeMorphism) -> dict:
@@ -209,21 +211,9 @@ def hom_between_idempotents(e1: CentreIdempotent, e2: CentreIdempotent):
 
 
 def _column_basis(M: np.ndarray, tol: float) -> np.ndarray:
-    """Deterministic column-pivoted orthonormal basis of the column space."""
-    if not M.size:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    work = M.astype(complex).copy()
-    scale = max(1.0, float(np.abs(M).max()))
-    cols = []
-    for _ in range(min(work.shape)):
-        norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol * scale:
-            break
-        q = work[:, j] / norms[j]
-        cols.append(q)
-        work -= np.outer(q, q.conj() @ work)
-    return np.array(cols).T if cols else np.zeros((M.shape[0], 0), dtype=complex)
+    """An orthonormal basis of the column space, cut as in :func:`_rank`."""
+    U, sv, _ = np.linalg.svd(M, full_matrices=False)
+    return U[:, :_cut(sv, tol)]
 
 
 def completeness_check(idems) -> dict:
@@ -233,30 +223,36 @@ def completeness_check(idems) -> dict:
     ``Hom_TC(e, e')`` is one-dimensional on the diagonal and zero off it;
     it is complete when additionally, for all simple X and Y,
     ``sum_e dim(X -> e) dim(e -> Y)`` equals ``dim Hom_TC(X, Y)``.
-    Overlapping idempotents on different carriers are detected by the
-    off-diagonal Hom-spaces.
+
+    Every dimension is read off the split of the (cached) tube algebra into
+    the centre simples Z, each given by a primitive idempotent p_Z of its
+    lowest corner i0: ``M[a, Z] = dim Hom_TC(p_Z, e_a)`` is the rank of
+    ``h -> e_a . h . p_Z`` on ``Hom_TC([i0], X_a)``.  By semisimplicity
+    ``dim Hom_TC(e_a, e_b) = (M M^T)[a, b]`` and ``dim Hom_TC(e_a, [j]) =
+    sum_Z M[a, Z] m_Z(j)``.  So the check builds the tube algebra, and a
+    failed split raises :class:`DecompositionFailed`.
     """
     spec = idems[0].eps.spec
     n = spec.n_labels
-    m = len(idems)
-    hom_dims = np.zeros((m, m), dtype=int)
+    blocks = _blocks(tube_algebra(spec), np.random.default_rng(0x5EED))
+    prims = [TubeMorphism(spec, (i0,), (i0,), p) for i0, p, _ in blocks]
+    M = np.zeros((len(idems), len(blocks)), dtype=int)
     for a, ea in enumerate(idems):
-        for b, eb in enumerate(idems):
-            hom_dims[a, b] = len(hom_between_idempotents(ea, eb))
-    orthogonal = bool(np.array_equal(hom_dims - np.diag(np.diag(hom_dims)),
-                                     np.zeros((m, m), dtype=int)))
-    primitive = bool(np.array_equal(np.diag(hom_dims), np.ones(m, dtype=int)))
-    into = {(i, a): e.mults[i] for i in range(n) for a, e in enumerate(idems)}
-    outof = {(a, j): idempotent_hom_dim(e, (j,), "out")
-             for j in range(n) for a, e in enumerate(idems)}
-    lhs = np.zeros((n, n), dtype=int)
-    rhs = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            lhs[i, j] = sum(into[(i, a)] * outof[(a, j)] for a in range(m))
-            rhs[i, j] = sum(
-                int(np.dot(word_channels(spec, (R, i)), word_channels(spec, (j, R))))
-                for R in range(n))
+        left = {i: _compose_matrix(ea.eps, (i,), True)
+                for i in {p.src[0] for p in prims} if ea.mults[i]}
+        for z, p in enumerate(prims):
+            if p.src[0] in left:
+                right = _compose_matrix(p, ea.carrier, False)
+                M[a, z] = _rank(left[p.src[0]] @ right, spec.tol)
+    hom_dims = M @ M.T
+    diag = np.diag(hom_dims)
+    orthogonal = not (hom_dims - np.diag(diag)).any()
+    primitive = bool((diag == 1).all())
+    into = np.array([[e.mults[i] for e in idems] for i in range(n)])
+    outof = M @ np.array([[mults[j] for j in range(n)] for _, _, mults in blocks])
+    lhs = into @ outof
+    rhs = np.array([[tube_hom_dim(spec, (i,), (j,)) for j in range(n)]
+                    for i in range(n)])
     complete = orthogonal and primitive and bool(np.array_equal(lhs, rhs))
     return {"complete": complete, "orthogonal": orthogonal,
             "primitive": primitive, "hom_dims": hom_dims,
@@ -584,7 +580,10 @@ def decompose_tube_algebra(A: TubeAlgebra, seed: int = 0x5EED):
     from the lowest corner it meets, transported onto a word carrier
     realizing the underlying object, and returned in the normal form built
     from its extracted half-braiding.  Block sizes satisfy
-    ``sum n_b^2 = dim A`` exactly.
+    ``sum n_b^2 = dim A`` exactly.  The twist is read off the corner: for
+    the rotation t of End_TC([i]) (:func:`c_morphism_inv` of ``(i,)``), the
+    primitive e has ``e t e = lambda e`` and ``theta = conj(lambda)``.  The
+    same split gives :func:`completeness_check` its Hom dimensions.
     """
     rng = np.random.default_rng(seed)
     return [_block_normal_form(A, i, e, mults, seed=seed)
@@ -595,7 +594,6 @@ def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, mults: dict,
                        seed: int) -> CentreIdempotent:
     """Transport a primitive idempotent of A_{i0 i0} to its word carrier."""
     spec = A.spec
-    e = np.where(np.abs(e) < 1e-9 * np.abs(e).max(), 0, e)
     e_t = tube_from_vector(spec, (i0,), (i0,), e)
     W = _word_with_channels(spec, mults)
     rng = np.random.default_rng(seed ^ 0xA5A5)
@@ -614,7 +612,9 @@ def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, mults: dict,
             continue
         ci = eps_from_half_braiding(hb, origin="from_block_decomposition", mults=mults)
         ci.block_size = sum(mults.values())
-        ci.twist = _centre_twist(hb, ci.mults)
+        B = A.blocks[(i0, i0, i0)]
+        ete = _left(e, B) @ (_left(c_morphism_inv(spec, (i0,), ()).v, B) @ e)
+        ci.twist = complex(np.conj((e.conj() @ ete) / (e.conj() @ e)))
         return ci
     raise DecompositionFailed("transport onto the word carrier failed")
 
@@ -628,13 +628,6 @@ def _word_with_channels(spec: CategorySpec, mults: dict) -> tuple:
                 return tup
     raise DecompositionFailed(
         f"no word of length < 4 realizes the underlying object {mults}")
-
-
-def _centre_twist(hb: HalfBraiding, mults: dict) -> complex:
-    """Twist of the centre simple: quantum trace of tau at the carrier itself."""
-    spec = hb.spec()
-    dZ = sum(mults.get(k, 0) * spec.pivotal.d[k] for k in range(spec.n_labels))
-    return complex(trace(tau_word(hb, hb.object)) / dZ)
 
 
 # ---------------------------------------------------------------------------

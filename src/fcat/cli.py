@@ -249,7 +249,7 @@ def cmd_check(spec, args, checks):
         worst = max(worst, assoc)
     _residual_check(checks, "tube_category_laws", worst, 1e-8)
 
-    p = random_morphism(spec, (n - 1,), (n - 1, 0), rng)
+    p = random_morphism(spec, (n - 1,), (n - 1, spec.unit), rng)
     ok = abs(embed_norm_ratio(spec, p) - 1.0) < 1e-12
     for x in range(n):
         for y in range(n):

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .category import CategorySpec
+from .category import CategorySpec, hom_dim
 from .diagrams import (Morphism, cap_word, compose, cup_word, factor,
                        identity, random_morphism, tensor, tree_basis, tree_dims,
                        zero_morphism)
@@ -102,8 +102,8 @@ class TubeMorphism:
 
 
 def tube_hom_dim(spec: CategorySpec, X, Y) -> int:
-    """dim Hom_TC(X, Y) = sum_R dim Hom(R ++ X, Y ++ R)."""
-    return tube_layout(spec, X, Y)[1]
+    """dim Hom_TC(X, Y) = sum_R dim Hom(R ++ X, Y ++ R), counted with N."""
+    return sum(hom_dim(spec, (R, *X), (*Y, R)) for R in range(spec.n_labels))
 
 
 def embed(f: Morphism) -> TubeMorphism:

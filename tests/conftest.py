@@ -32,6 +32,14 @@ def su2(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def su2_4(tmp_path_factory):
+    """SU(2)_4: rank 5, the first rung with a 3 x 3 block."""
+    p = tmp_path_factory.mktemp("su2k") / "su2_4.json"
+    p.write_text(json.dumps(su2k_document(4)))
+    return load_category(p)
+
+
+@pytest.fixture(scope="session")
 def s3(tmp_path_factory):
     """Vec_S3: pointed on the symmetric group, non-commutative fusion."""
     perms = list(itertools.permutations(range(3)))

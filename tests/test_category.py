@@ -286,6 +286,39 @@ def test_non_finite_values_are_schema_errors(tmp_path, field, value):
     assert run(["validate", str(tmp_path / "cat.json")]) == 2
 
 
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        target = doc
+        for k in keys:
+            target = target[k]
+        target[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("N", _set(("N", -1, 3), "x")),          # multiplicity not a number
+    ("N", _set(("N", -1, 3), 1.5)),          # multiplicity not an integer
+    ("N", _set(("N",), 5)),                  # table not an array
+    ("F", _set(("F", -1, 10), "abc")),       # value not a number
+    ("F", _set(("F", -1, 10), 10 ** 400)),   # value beyond the float range
+    ("F", _set(("F", -1, 6), None)),         # vertex index missing
+    ("F", _set(("F", -1, 6), -1)),           # vertex index negative
+    ("R", _set(("R", -1, 3), -1)),           # vertex index negative
+    ("dims", _set(("dims",), 5)),            # not an object
+    ("dims", _set(("dims", "tau"), [1.6])),  # not a [re, im] pair
+    ("tol", _set(("tol",), "small")),
+], ids=["N-string", "N-fraction", "N-scalar", "F-string", "F-huge",
+        "F-null-index", "F-negative-index", "R-negative-index", "dims-scalar",
+        "dims-short", "tol-string"])
+def test_malformed_numbers_are_schema_errors(tmp_path, field, edit):
+    doc = _doc("fibonacci")
+    edit(doc)
+    with pytest.raises(SchemaError, match=field):
+        _load_doc(tmp_path, doc)
+    assert run(["validate", str(tmp_path / "cat.json")]) == 2
+
+
 def test_hom_dim_examples(fib, ising):
     assert hom_dim(fib, ["tau", "tau"], ["tau"]) == 1
     assert hom_dim(fib, [], []) == 1

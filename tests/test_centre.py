@@ -13,8 +13,9 @@ from fcat import (NotBraided, NotHalfBraiding, NotModular, SplitFailed,
                   idempotent_hom_dim, identity, is_modular, killing_ring_eval,
                   load_category,
                   modular_data, random_tube_morphism, s_matrix, slice_checks,
-                  t_matrix, tube_algebra, tube_compose, tube_identity)
-from fcat.centre import HalfBraiding, _blocks, _idempotent_mults
+                  t_matrix, trace, tube_algebra, tube_compose, tube_identity)
+from fcat.category import word_channels
+from fcat.centre import HalfBraiding, _blocks, _idempotent_mults, tau_word
 from fcat.tube import tube_hom_dim, tube_to_vector
 from su2k import su2k_document
 
@@ -161,6 +162,47 @@ def test_hom_dims_into_idempotents(fib):
             for i in range(2):
                 got = idempotent_hom_dim(ci, (i,), "into")
                 assert got == hom_dim(fib, (i,), (I, J))
+
+
+def oracle_completeness(idems) -> dict:
+    """completeness_check by probing all n^4 Hom spaces between the idempotents."""
+    spec = idems[0].eps.spec
+    n = spec.n_labels
+    m = len(idems)
+    hom_dims = np.array([[len(hom_between_idempotents(ea, eb)) for eb in idems]
+                         for ea in idems])
+    orthogonal = bool(np.array_equal(hom_dims - np.diag(np.diag(hom_dims)),
+                                     np.zeros((m, m), dtype=int)))
+    primitive = bool(np.array_equal(np.diag(hom_dims), np.ones(m, dtype=int)))
+    into = np.array([[e.mults[i] for e in idems] for i in range(n)])
+    outof = np.array([[idempotent_hom_dim(e, (j,), "out") for j in range(n)]
+                      for e in idems])
+    lhs = into @ outof
+    rhs = np.array([[sum(int(np.dot(word_channels(spec, (R, i)),
+                                    word_channels(spec, (j, R))))
+                         for R in range(n)) for j in range(n)] for i in range(n)])
+    complete = orthogonal and primitive and bool(np.array_equal(lhs, rhs))
+    return {"complete": complete, "orthogonal": orthogonal,
+            "primitive": primitive, "hom_dims": hom_dims,
+            "lhs": lhs, "rhs": rhs}
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "su2_2",
+                                  "su2_3", "fibonacci+tau_tau"])
+def test_completeness_check_matches_the_hom_space_oracle(specs, su2, name):
+    base = name.split("+")[0]
+    spec = su2[int(base[4:])] if base.startswith("su2_") else specs[base]
+    n = spec.n_labels
+    idems = [eps_xy(spec, (I,), (J,)) for I in range(n) for J in range(n)]
+    if name.endswith("+tau_tau"):    # tau (x) tau = 1 + tau: not primitive
+        idems.append(eps_xy(spec, ("tau", "tau"), ()))
+    got, want = completeness_check(idems), oracle_completeness(idems)
+    for key in ("complete", "orthogonal", "primitive"):
+        assert got[key] == want[key], key
+    for key in ("hom_dims", "lhs", "rhs"):
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    if name.endswith("+tau_tau"):
+        assert not got["primitive"] and not got["orthogonal"]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +450,22 @@ def test_block_mults_count_tube_dims(specs):
             for j in range(n):
                 via = sum(b.mults.get(i, 0) * b.mults.get(j, 0) for b in blocks)
                 assert via == tube_hom_dim(spec, (i,), (j,))
+
+
+def centre_twist_oracle(b) -> complex:
+    """Twist of a block: the quantum trace of tau at its own carrier over d(Z)."""
+    spec = b.hb.spec()
+    dZ = sum(m * spec.pivotal.d[k] for k, m in b.mults.items())
+    return complex(trace(tau_word(b.hb, b.hb.object)) / dZ)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3",
+                                  "su2_2", "su2_3", "su2_4"])
+def test_block_twists_match_the_trace_of_tau(specs, su2, su2_4, name):
+    spec = ({**su2, 4: su2_4}[int(name[4:])] if name.startswith("su2_")
+            else specs[name])
+    for b in decompose_tube_algebra(tube_algebra(spec)):
+        assert abs(centre_twist_oracle(b) - b.twist) < 1e-9
 
 
 def _corner_twists(A):

@@ -134,6 +134,18 @@ def test_check_all_builtins(capsys, name):
     assert all(c["pass"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "vec_z3"])
+def test_check_with_the_unit_listed_last(tmp_path, capsys, name):
+    doc = json.loads((DATA_DIR / f"{name}.json").read_text())
+    doc["labels"] = [s for s in doc["labels"] if s != doc["unit"]] + [doc["unit"]]
+    p = tmp_path / "unit_last.json"
+    p.write_text(json.dumps(doc))
+    code, rep = _run(capsys, "check", str(p))
+    assert code == 0, [c for c in rep["checks"] if not c["pass"]]
+    _, ref = _run(capsys, "check", _data(name))
+    assert [c["name"] for c in rep["checks"]] == [c["name"] for c in ref["checks"]]
+
+
 def test_check_fibonacci_covers_core_identities(capsys):
     _, rep = _run(capsys, "check", _data("fibonacci"))
     names = {c["name"] for c in rep["checks"]}

@@ -5,8 +5,9 @@ import pytest
 
 from fcat import (ShapeMismatch, c_morphism, c_morphism_inv, compose,
                   decompose_resolution, embed, hom_dim, identity, lift,
-                  random_morphism, random_tube_morphism, tensor, tube_algebra,
-                  tube_compose, tube_hom_dim, tube_identity, unembed)
+                  load_builtin, random_morphism, random_tube_morphism, tensor,
+                  tube_algebra, tube_compose, tube_hom_dim, tube_identity,
+                  unembed)
 from fcat.tube import (TubeMorphism, _compose_matrix, tube_from_vector,
                        tube_layout, tube_to_vector)
 
@@ -52,6 +53,23 @@ def oracle_specs(specs, su2, s3, mult_ring_f):
 def test_tube_hom_dims(specs, name, X, Y, want):
     spec = specs[name]
     assert tube_hom_dim(spec, spec.word(X), spec.word(Y)) == want
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "vec_z3"])
+def test_tube_hom_dim_is_the_layout_size(specs, name):
+    spec = specs[name]
+    n = spec.n_labels
+    words = [()] + [(a,) for a in range(n)] + list(product(range(n), repeat=2))
+    for X, Y in product(words, repeat=2):
+        assert tube_hom_dim(spec, X, Y) == tube_layout(spec, X, Y)[1]
+
+
+def test_tube_hom_dim_of_a_long_word_enumerates_no_trees():
+    spec = load_builtin("fibonacci")
+    X = (1,) * 16
+    dim = tube_hom_dim(spec, X, X)
+    assert ("tube_layout", X, X) not in spec._cache
+    assert dim == tube_layout(spec, X, X)[1]
 
 
 def test_tube_dim_counts_through_pairs(specs):
