@@ -29,7 +29,8 @@ from .centre import (HalfBraiding, CentreIdempotent, ModularData,
                      eps_from_half_braiding, eps_xy, handle_slide_check,
                      hom_between_idempotents, idempotent_hom_dim,
                      completeness_check, s_matrix, t_matrix, modular_data,
-                     is_modular, killing_ring_eval, slice_checks,
-                     decompose_tube_algebra, half_braiding_from_idempotent)
+                     is_modular, killing_ring_eval, slice_checks, TubeSplit,
+                     split_tube_algebra, decompose_tube_algebra,
+                     half_braiding_from_idempotent)
 
 __version__ = "0.1.0"

@@ -118,6 +118,8 @@ class CategorySpec:
     R: RSymbolTable | None
     pivotal: PivotalData
     tol: float
+    # the pentagon and (if braided) hexagon reports of load_category
+    validation: dict = field(default_factory=dict, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -167,7 +169,9 @@ def load_category(path, tol: float | None = None) -> CategorySpec:
     Raises SchemaError for malformed documents, MissingData if quantum
     dimensions are absent, and ConsistencyError when a structural identity
     (unit law, duality, fusion associativity, pentagon, hexagon,
-    sphericality, zig-zag) fails beyond tolerance.
+    sphericality, zig-zag) fails beyond tolerance.  The reports of
+    :func:`validate_pentagon` and, if braided, :func:`validate_hexagon` are
+    kept in ``spec.validation``, so no caller needs to run them again.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -348,7 +352,7 @@ def _load_document(doc, tol=None) -> CategorySpec:
                                 f"unit F block ({ids[a]},{ids[b]},{ids[c]};{ids[dd]})"
                                 " is not the identity")
 
-    rep = validate_pentagon(spec)
+    rep = spec.validation["pentagon"] = validate_pentagon(spec)
     if rep["max_residual"] > use_tol:
         raise ConsistencyError("pentagon", rep["max_residual"],
                                f"pentagon fails at {rep['worst_instance']}")
@@ -365,9 +369,9 @@ def _load_document(doc, tol=None) -> CategorySpec:
                             raise ConsistencyError("hexagon",
                                                    float(sv.min() if R.size else 0.0),
                                                    "R block missing or singular")
-        res = validate_hexagon(spec)["max_residual"]
-        if res > use_tol:
-            raise ConsistencyError("hexagon", res)
+        rep = spec.validation["hexagon"] = validate_hexagon(spec)
+        if rep["max_residual"] > use_tol:
+            raise ConsistencyError("hexagon", rep["max_residual"])
     # both zig-zags, which sphericality alone does not imply (a self-dual
     # simple's Frobenius-Schur sign must match the sign of its dimension)
     from .diagrams import _bend_scalars    # diagrams imports this module

@@ -24,8 +24,8 @@ from .diagrams import (Morphism, basis_projection, cap_word, compose, cup_word,
 from .errors import (DecompositionFailed, NotBraided, NotHalfBraiding,
                      NotModular, ShapeMismatch, SplitFailed)
 from .tube import (TubeAlgebra, TubeMorphism, _compose_matrix, c_morphism_inv,
-                   random_tube_morphism, tube_algebra, tube_compose,
-                   tube_from_vector, tube_hom_dim, tube_layout)
+                   random_tube_morphism, tube_compose, tube_from_vector,
+                   tube_hom_dim, tube_layout)
 
 __all__ = [
     "HalfBraiding", "CentreIdempotent", "ModularData",
@@ -33,7 +33,7 @@ __all__ = [
     "eps_from_half_braiding", "eps_xy", "handle_slide_check",
     "hom_between_idempotents", "idempotent_hom_dim", "completeness_check",
     "s_matrix", "t_matrix", "modular_data", "is_modular",
-    "killing_ring_eval", "slice_checks",
+    "killing_ring_eval", "slice_checks", "TubeSplit", "split_tube_algebra",
     "decompose_tube_algebra", "half_braiding_from_idempotent",
 ]
 
@@ -216,7 +216,7 @@ def _column_basis(M: np.ndarray, tol: float) -> np.ndarray:
     return U[:, :_cut(sv, tol)]
 
 
-def completeness_check(idems) -> dict:
+def completeness_check(idems, split: TubeSplit) -> dict:
     """Orthogonality, primitivity and the Hom-dimension count for a family.
 
     A family is a set of primitive orthogonal idempotents when
@@ -224,19 +224,18 @@ def completeness_check(idems) -> dict:
     it is complete when additionally, for all simple X and Y,
     ``sum_e dim(X -> e) dim(e -> Y)`` equals ``dim Hom_TC(X, Y)``.
 
-    Every dimension is read off the split of the (cached) tube algebra into
-    the centre simples Z, each given by a primitive idempotent p_Z of its
-    lowest corner i0: ``M[a, Z] = dim Hom_TC(p_Z, e_a)`` is the rank of
-    ``h -> e_a . h . p_Z`` on ``Hom_TC([i0], X_a)``.  By semisimplicity
-    ``dim Hom_TC(e_a, e_b) = (M M^T)[a, b]`` and ``dim Hom_TC(e_a, [j]) =
-    sum_Z M[a, Z] m_Z(j)``.  So the check builds the tube algebra, and a
-    failed split raises :class:`DecompositionFailed`.
+    Every dimension is read off ``split``, the tube algebra's split into the
+    centre simples Z (:func:`split_tube_algebra`), each given by a
+    primitive idempotent p_Z of its lowest corner i0: ``M[a, Z] =
+    dim Hom_TC(p_Z, e_a)`` is the rank of ``h -> e_a . h . p_Z`` on
+    ``Hom_TC([i0], X_a)``.  By semisimplicity ``dim Hom_TC(e_a, e_b) =
+    (M M^T)[a, b]`` and ``dim Hom_TC(e_a, [j]) = sum_Z M[a, Z] m_Z(j)``.
+    M is made of ranks, so the result does not depend on the split's seed.
     """
     spec = idems[0].eps.spec
     n = spec.n_labels
-    blocks = _blocks(tube_algebra(spec), np.random.default_rng(0x5EED))
-    prims = [TubeMorphism(spec, (i0,), (i0,), p) for i0, p, _ in blocks]
-    M = np.zeros((len(idems), len(blocks)), dtype=int)
+    prims = [TubeMorphism(spec, (i0,), (i0,), p) for i0, p, _, _ in split.blocks]
+    M = np.zeros((len(idems), len(prims)), dtype=int)
     for a, ea in enumerate(idems):
         left = {i: _compose_matrix(ea.eps, (i,), True)
                 for i in {p.src[0] for p in prims} if ea.mults[i]}
@@ -249,7 +248,7 @@ def completeness_check(idems) -> dict:
     orthogonal = not (hom_dims - np.diag(diag)).any()
     primitive = bool((diag == 1).all())
     into = np.array([[e.mults[i] for e in idems] for i in range(n)])
-    outof = M @ np.array([[mults[j] for j in range(n)] for _, _, mults in blocks])
+    outof = M @ np.array([[m[j] for j in range(n)] for _, _, m, _ in split.blocks])
     lhs = into @ outof
     rhs = np.array([[tube_hom_dim(spec, (i,), (j,)) for j in range(n)]
                     for i in range(n)])
@@ -540,20 +539,33 @@ def _corner_primitives(A: TubeAlgebra, i: int, rng: np.random.Generator) -> list
         f"separated at {cut}")
 
 
-def _blocks(A: TubeAlgebra, rng: np.random.Generator) -> list:
-    """The minimal blocks of A, as ``(i, e, mults)``.
+@dataclass(frozen=True)
+class TubeSplit:
+    """The blocks of A that :func:`split_tube_algebra` found at ``seed``."""
+    A: TubeAlgebra
+    seed: int
+    blocks: list
 
-    e is a primitive idempotent of the lowest diagonal corner A_ii that the
-    block meets, and ``mults[j]`` is the rank of e's left action on corner
-    (j, i): the multiplicity of the simple j in the centre simple.  Two
-    primitives of one corner lie in one block iff ``e' A_ii e`` is non-zero.
+
+def split_tube_algebra(A: TubeAlgebra, seed: int) -> TubeSplit:
+    """The minimal blocks of A, as ``(i0, e, mults, twist)``.
+
+    e is a primitive idempotent of the lowest diagonal corner A_{i0 i0}
+    that the block meets, from one seeded eigensolve per corner, and
+    ``mults[j]`` is the rank of e's left action on corner (j, i0): the
+    multiplicity of the simple j in the centre simple.  Two primitives of
+    one corner lie in one block iff ``e' A_ii e`` is non-zero.  For the
+    rotation t of End_TC([i0]) (:func:`c_morphism_inv` of ``(i0,)``),
+    ``e t e = lambda e`` and the twist is ``theta = conj(lambda)``.
     """
     spec = A.spec
     n = spec.n_labels
+    rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         B = A.blocks[(i, i, i)]
         prims = _corner_primitives(A, i, rng)
+        rotation = _left(c_morphism_inv(spec, (i,), ()).v, B)
         kept = []
         for e in prims:
             mults = {j: _rank(_left(e, A.blocks[(j, i, i)]), spec.tol)
@@ -562,38 +574,31 @@ def _blocks(A: TubeAlgebra, rng: np.random.Generator) -> list:
                     _rank(_sandwich(f, e, B), spec.tol) for f in kept):
                 continue
             kept.append(e)
-            out.append((i, e, mults))
-        if len(prims) != sum(m[i] for _, _, m in out):
+            ete = _left(e, B) @ (rotation @ e)
+            twist = complex(np.conj((e.conj() @ ete) / (e.conj() @ e)))
+            out.append((i, e, mults, twist))
+        if len(prims) != sum(m[i] for _, _, m, _ in out):
             raise DecompositionFailed(
                 f"corner {spec.labels[i].id}: the blocks do not account for its "
                 f"{len(prims)} primitive idempotents")
-    if sum(sum(m.values()) ** 2 for _, _, m in out) != A.dim:
+    if sum(sum(m.values()) ** 2 for _, _, m, _ in out) != A.dim:
         raise DecompositionFailed("block sizes do not resolve the algebra dimension")
-    return out
+    return TubeSplit(A, seed, out)
 
 
-def decompose_tube_algebra(A: TubeAlgebra, seed: int = 0x5EED):
-    """Minimal blocks of the tube algebra as canonical centre idempotents.
+def decompose_tube_algebra(split: TubeSplit) -> list:
+    """The blocks of ``split`` as canonical centre idempotents.
 
-    Each diagonal corner A_ii is split into primitive idempotents by one
-    eigendecomposition of a seeded generic element; each block is taken
-    from the lowest corner it meets, transported onto a word carrier
-    realizing the underlying object, and returned in the normal form built
-    from its extracted half-braiding.  Block sizes satisfy
-    ``sum n_b^2 = dim A`` exactly.  The twist is read off the corner: for
-    the rotation t of End_TC([i]) (:func:`c_morphism_inv` of ``(i,)``), the
-    primitive e has ``e t e = lambda e`` and ``theta = conj(lambda)``.  The
-    same split gives :func:`completeness_check` its Hom dimensions.
+    Each is moved onto a word carrier by random tubes drawn at the split's
+    seed, and returned in the normal form of its extracted half-braiding.
     """
-    rng = np.random.default_rng(seed)
-    return [_block_normal_form(A, i, e, mults, seed=seed)
-            for i, e, mults in _blocks(A, rng)]
+    return [_block_normal_form(split.A.spec, *block, seed=split.seed)
+            for block in split.blocks]
 
 
-def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, mults: dict,
-                       seed: int) -> CentreIdempotent:
+def _block_normal_form(spec: CategorySpec, i0: int, e: np.ndarray, mults: dict,
+                       twist: complex, seed: int) -> CentreIdempotent:
     """Transport a primitive idempotent of A_{i0 i0} to its word carrier."""
-    spec = A.spec
     e_t = tube_from_vector(spec, (i0,), (i0,), e)
     W = _word_with_channels(spec, mults)
     rng = np.random.default_rng(seed ^ 0xA5A5)
@@ -611,10 +616,7 @@ def _block_normal_form(A: TubeAlgebra, i0: int, e: np.ndarray, mults: dict,
         except SplitFailed:
             continue
         ci = eps_from_half_braiding(hb, origin="from_block_decomposition", mults=mults)
-        ci.block_size = sum(mults.values())
-        B = A.blocks[(i0, i0, i0)]
-        ete = _left(e, B) @ (_left(c_morphism_inv(spec, (i0,), ()).v, B) @ e)
-        ci.twist = complex(np.conj((e.conj() @ ete) / (e.conj() @ e)))
+        ci.block_size, ci.twist = sum(mults.values()), twist
         return ci
     raise DecompositionFailed("transport onto the word carrier failed")
 

@@ -17,18 +17,17 @@ import time
 import numpy as np
 
 from . import __version__
-from .category import (global_dimension, hom_dim, load_category,
-                       validate_hexagon, validate_pentagon)
+from .category import global_dimension, hom_dim, load_category
 from .diagrams import (braid, compose, cup, cap, identity, random_morphism,
                        tensor, trace, trace_left, trace_right,
                        dual_decompose_check)
 from .errors import FcatError, SchemaError, MissingData, UnknownLabel
 from .tube import (TubeMorphism, embed, random_tube_morphism, tube_algebra,
                    tube_compose, tube_hom_dim, tube_identity)
-from .centre import (completeness_check, decompose_tube_algebra,
-                     eps_from_half_braiding, eps_xy, half_braiding_from_idempotent,
+from .centre import (_graded_idempotent, completeness_check,
+                     decompose_tube_algebra, eps_xy, half_braiding_from_idempotent,
                      handle_slide_check, killing_ring_eval, modular_data,
-                     s_matrix, slice_checks, t_matrix)
+                     s_matrix, slice_checks, split_tube_algebra, t_matrix)
 
 DEFAULT_SEED = 0x5EED
 
@@ -53,12 +52,8 @@ def _residual_check(checks, name, residual, tol):
 
 
 def cmd_validate(spec, args, checks):
-    rep = validate_pentagon(spec)
-    _residual_check(checks, "pentagon", rep["max_residual"], spec.tol)
-    if spec.braided:
-        _residual_check(checks, "hexagon",
-                        validate_hexagon(spec)["max_residual"], spec.tol)
-    return None
+    for name, rep in spec.validation.items():
+        _residual_check(checks, name, rep["max_residual"], spec.tol)
 
 
 def cmd_info(spec, args, checks):
@@ -100,7 +95,7 @@ def cmd_tube_algebra(spec, args, checks):
 
 def cmd_centre(spec, args, checks):
     A = tube_algebra(spec)
-    blocks = decompose_tube_algebra(A, seed=args.seed)
+    blocks = decompose_tube_algebra(split_tube_algebra(A, args.seed))
     payload = []
     # Twists are rounded so that float noise cannot order a conjugate pair.
     for b in sorted(blocks, key=lambda b: (b.block_size, sorted(b.mults.items()),
@@ -131,7 +126,8 @@ def cmd_modular(spec, args, checks):
                     1e3 * spec.tol)
     n = spec.n_labels
     idems = [eps_xy(spec, (I,), (J,)) for I in range(n) for J in range(n)]
-    comp = completeness_check(idems)
+    comp = completeness_check(idems,
+                              split_tube_algebra(tube_algebra(spec), args.seed))
     _check(checks, "completeness_matches_modularity", comp["complete"],
            comp["complete"] == (not md.singular))
     return {
@@ -152,16 +148,13 @@ def cmd_modular(spec, args, checks):
 
 def cmd_check(spec, args, checks):
     """The full identity suite; every module invariant at its tolerance."""
-    tol = spec.tol
-    loose = 1e3 * tol
+    loose = 1e3 * spec.tol
     rng = np.random.default_rng(args.seed)
     n = spec.n_labels
     d = spec.pivotal.d
     D2 = spec.pivotal.D2
 
-    _residual_check(checks, "pentagon", validate_pentagon(spec)["max_residual"], tol)
-    if spec.braided:
-        _residual_check(checks, "hexagon", validate_hexagon(spec)["max_residual"], tol)
+    cmd_validate(spec, args, checks)
 
     res = max(
         float(np.abs(np.einsum("abc,c->ab", spec.rules.N, d) - np.outer(d, d)).max()),
@@ -269,6 +262,7 @@ def cmd_check(spec, args, checks):
                 grott = max(grott, abs(coeff - spec.rules.N[a, b, T]))
     _residual_check(checks, "grothendieck_ring", grott, 1e-8)
 
+    split = split_tube_algebra(tube_algebra(spec), args.seed)
     if spec.braided:
         md = modular_data(spec)
         _residual_check(
@@ -305,7 +299,7 @@ def cmd_check(spec, args, checks):
             worst = max(worst, handle_slide_check(hb, beta, mirror=True))
         _residual_check(checks, "handle_slide", worst, 1e-8)
 
-        comp = completeness_check(idems)
+        comp = completeness_check(idems, split)
         _check(checks, "completeness_matches_modularity", comp["complete"],
                comp["complete"] == (not md.singular))
         if not md.singular:
@@ -315,17 +309,13 @@ def cmd_check(spec, args, checks):
             rep = slice_checks(spec, n_instances=args.instances, seed=args.seed)
             _residual_check(checks, "slice_identities", rep["max_residual"], 1e-8)
 
-    A = tube_algebra(spec)
-    blocks = decompose_tube_algebra(A, seed=args.seed)
+    blocks = decompose_tube_algebra(split)
     total = sum(b.block_size ** 2 for b in blocks)
-    _check(checks, "blocks_resolve_algebra", total, total == A.dim)
-    worst = 0.0
-    for b in blocks:
-        hb2 = half_braiding_from_idempotent(b)
-        rebuilt = eps_from_half_braiding(hb2)
-        worst = max(worst, (rebuilt.eps - b.eps).norm())
+    _check(checks, "blocks_resolve_algebra", total, total == split.A.dim)
+    # the graded idempotent determines tau: a tau that is not a half-braiding fails
+    worst = max((_graded_idempotent(half_braiding_from_idempotent(b)) - b.eps).norm()
+                for b in blocks)
     _residual_check(checks, "block_round_trip", worst, 1e-6)
-    return None
 
 
 def _grade_unit(spec, R):
@@ -371,8 +361,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Entry point; returns the process exit code."""
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.seed < 0 or args.instances < 1:
+            parser.error("--seed must be at least 0 and --instances at least 1")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -15,8 +15,8 @@ from fcat import (braiding_half_braiding, compose, completeness_check,
                   half_braiding_from_idempotent, handle_slide_check,
                   hom_between_idempotents, hom_dim, identity, braid,
                   killing_ring_eval, load_builtin, modular_data,
-                  random_morphism, random_tube_morphism, s_matrix, t_matrix,
-                  tensor, trace, trace_left, trace_right, tube_algebra,
+                  random_morphism, random_tube_morphism, s_matrix,
+                  split_tube_algebra, t_matrix, tensor, trace, trace_left, trace_right, tube_algebra,
                   tube_compose, tube_identity, validate_hexagon,
                   validate_pentagon, cup, cap)
 from fcat.tube import TubeMorphism
@@ -148,8 +148,9 @@ def test_criterion_08_completeness(specs):
         sizes = sorted(sum(ci.mults.values()) for ci in idems)
         ok &= sizes == want_sizes
         ok &= sum(s * s for s in sizes) == want_total
-        ok &= completeness_check(idems)["complete"]
-        blocks = decompose_tube_algebra(tube_algebra(spec))
+        split = split_tube_algebra(tube_algebra(spec), 0x5EED)
+        ok &= completeness_check(idems, split)["complete"]
+        blocks = decompose_tube_algebra(split)
         ok &= sorted(b.block_size for b in blocks) == want_sizes
     _report(8, "completeness theorem", ok)
 
@@ -161,7 +162,8 @@ def test_criterion_09_non_modular_witness(specs):
     ok &= np.abs(md.S - np.ones((2, 2))).max() < 1e-8
     idems = {(I, J): eps_xy(z2, (I,), (J,)) for I in range(2) for J in range(2)}
     ok &= len(hom_between_idempotents(idems[(1, 1)], idems[(0, 0)])) >= 1
-    ok &= completeness_check(list(idems.values()))["complete"] is False
+    split = split_tube_algebra(tube_algebra(z2), 0x5EED)
+    ok &= completeness_check(list(idems.values()), split)["complete"] is False
     _report(9, "non-modular witness (Vec_Z2)", ok)
 
 
@@ -191,7 +193,8 @@ def test_criterion_11_round_trip(specs):
     ok = True
     for name in NAMES:
         spec = specs[name]
-        for block in decompose_tube_algebra(tube_algebra(spec)):
+        split = split_tube_algebra(tube_algebra(spec), 0x5EED)
+        for block in decompose_tube_algebra(split):
             hb = half_braiding_from_idempotent(block)
             rebuilt = eps_from_half_braiding(hb)
             ok &= (rebuilt.eps - block.eps).norm() < 1e-6

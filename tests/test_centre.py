@@ -8,6 +8,7 @@ import pytest
 from fcat import (NotBraided, NotHalfBraiding, NotModular, SplitFailed,
                   braiding_half_braiding, c_morphism_inv, completeness_check,
                   decompose_tube_algebra, eps_from_half_braiding, eps_xy,
+                  split_tube_algebra,
                   half_braiding_from_idempotent, half_braiding_residual,
                   handle_slide_check, hom_between_idempotents,
                   idempotent_hom_dim, identity, is_modular, killing_ring_eval,
@@ -15,7 +16,7 @@ from fcat import (NotBraided, NotHalfBraiding, NotModular, SplitFailed,
                   modular_data, random_tube_morphism, s_matrix, slice_checks,
                   t_matrix, trace, tube_algebra, tube_compose, tube_identity)
 from fcat.category import word_channels
-from fcat.centre import HalfBraiding, _blocks, _idempotent_mults, tau_word
+from fcat.centre import HalfBraiding, _idempotent_mults, tau_word
 from fcat.tube import tube_hom_dim, tube_to_vector
 from su2k import su2k_document
 
@@ -123,7 +124,7 @@ def test_hom_space_theorem_fibonacci(fib):
 
 def test_hom_space_theorem_ising(ising):
     idems = [eps_xy(ising, (I,), (J,)) for I in range(3) for J in range(3)]
-    rep = completeness_check(idems)
+    rep = completeness_check(idems, split_tube_algebra(tube_algebra(ising), 0x5EED))
     assert rep["complete"] and rep["orthogonal"] and rep["primitive"]
     np.testing.assert_array_equal(rep["hom_dims"], np.eye(9, dtype=int))
     assert int(np.sum([b * b for b in np.ones(9, dtype=int)])) + 3 == 12
@@ -131,7 +132,7 @@ def test_hom_space_theorem_ising(ising):
 
 def test_completeness_counts(fib):
     idems = [eps_xy(fib, (I,), (J,)) for I in range(2) for J in range(2)]
-    rep = completeness_check(idems)
+    rep = completeness_check(idems, split_tube_algebra(tube_algebra(fib), 0x5EED))
     assert rep["complete"]
     assert rep["lhs"].sum() == rep["rhs"].sum() == 7
     # per-simple multiplicities n_IJ of the underlying objects: (1,1,1,2)
@@ -142,7 +143,8 @@ def test_completeness_counts(fib):
 
 def test_non_modular_witness(z2):
     idems = {(I, J): eps_xy(z2, (I,), (J,)) for I in range(2) for J in range(2)}
-    rep = completeness_check(list(idems.values()))
+    rep = completeness_check(list(idems.values()),
+                             split_tube_algebra(tube_algebra(z2), 0x5EED))
     assert not rep["complete"]
     assert not rep["orthogonal"]
     witness = hom_between_idempotents(idems[(1, 1)], idems[(0, 0)])
@@ -196,7 +198,8 @@ def test_completeness_check_matches_the_hom_space_oracle(specs, su2, name):
     idems = [eps_xy(spec, (I,), (J,)) for I in range(n) for J in range(n)]
     if name.endswith("+tau_tau"):    # tau (x) tau = 1 + tau: not primitive
         idems.append(eps_xy(spec, ("tau", "tau"), ()))
-    got, want = completeness_check(idems), oracle_completeness(idems)
+    split = split_tube_algebra(tube_algebra(spec), 0x5EED)
+    got, want = completeness_check(idems, split), oracle_completeness(idems)
     for key in ("complete", "orthogonal", "primitive"):
         assert got[key] == want[key], key
     for key in ("hom_dims", "lhs", "rhs"):
@@ -308,7 +311,7 @@ def test_slice_checks_need_modularity(z2, z3):
 def test_block_sizes(specs, name, sizes):
     spec = specs[name]
     A = tube_algebra(spec)
-    blocks = decompose_tube_algebra(A)
+    blocks = decompose_tube_algebra(split_tube_algebra(A, 0x5EED))
     assert sorted(b.block_size for b in blocks) == sizes
     assert sum(b.block_size ** 2 for b in blocks) == A.dim
     for b in blocks:
@@ -322,21 +325,21 @@ def test_block_mults_are_the_normal_form_ranks(specs, su2, name):
     # a block's mults are measured on its corner idempotent, before the
     # transport to the word carrier; the normal form must have the same ranks
     spec = su2[int(name[4:])] if name.startswith("su2_") else specs[name]
-    for ci in decompose_tube_algebra(tube_algebra(spec)):
+    for ci in decompose_tube_algebra(split_tube_algebra(tube_algebra(spec), 0x5EED)):
         assert _idempotent_mults(ci.eps) == ci.mults
 
 
 def test_block_decomposition_deterministic(fib):
     A = tube_algebra(fib)
-    b1 = decompose_tube_algebra(A, seed=1)
-    b2 = decompose_tube_algebra(A, seed=1)
+    b1 = decompose_tube_algebra(split_tube_algebra(A, 1))
+    b2 = decompose_tube_algebra(split_tube_algebra(A, 1))
     for x, y in zip(b1, b2):
         assert (x.eps - y.eps).norm() < 1e-12
 
 
 def test_round_trip_all_blocks(specs):
     for spec in specs.values():
-        blocks = decompose_tube_algebra(tube_algebra(spec))
+        blocks = decompose_tube_algebra(split_tube_algebra(tube_algebra(spec), 0x5EED))
         for b in blocks:
             hb = half_braiding_from_idempotent(b)
             assert half_braiding_residual(hb) < 1e3 * spec.tol
@@ -413,7 +416,7 @@ def test_unit_idempotent_half_braiding_trivial(specs):
 
 def test_toric_code_em_block_signs(z2):
     """The charge-flux composite carries the sign half-braiding on e."""
-    blocks = decompose_tube_algebra(tube_algebra(z2))
+    blocks = decompose_tube_algebra(split_tube_algebra(tube_algebra(z2), 0x5EED))
     on_e = [b for b in blocks if b.mults == {0: 0, 1: 1}]
     assert len(on_e) == 2
     sign_sets = []
@@ -436,7 +439,7 @@ def test_block_twists_match_deligne_product(specs):
         want = sorted(np.round(theta[i] * np.conj(theta[j]), 8)
                       for i in range(spec.n_labels)
                       for j in range(spec.n_labels))
-        blocks = decompose_tube_algebra(tube_algebra(spec))
+        blocks = decompose_tube_algebra(split_tube_algebra(tube_algebra(spec), 0x5EED))
         got = sorted(np.round(b.twist, 8) for b in blocks)
         assert all(abs(a - b) < 1e-6 for a, b in zip(want, got))
 
@@ -444,7 +447,7 @@ def test_block_twists_match_deligne_product(specs):
 def test_block_mults_count_tube_dims(specs):
     # sum over blocks of m_i(b) m_j(b) equals dim Hom_TC(i, j)
     for spec in specs.values():
-        blocks = decompose_tube_algebra(tube_algebra(spec))
+        blocks = decompose_tube_algebra(split_tube_algebra(tube_algebra(spec), 0x5EED))
         n = spec.n_labels
         for i in range(n):
             for j in range(n):
@@ -464,7 +467,7 @@ def centre_twist_oracle(b) -> complex:
 def test_block_twists_match_the_trace_of_tau(specs, su2, su2_4, name):
     spec = ({**su2, 4: su2_4}[int(name[4:])] if name.startswith("su2_")
             else specs[name])
-    for b in decompose_tube_algebra(tube_algebra(spec)):
+    for b in decompose_tube_algebra(split_tube_algebra(tube_algebra(spec), 0x5EED)):
         assert abs(centre_twist_oracle(b) - b.twist) < 1e-9
 
 
@@ -476,7 +479,7 @@ def _corner_twists(A):
     half-braiding is extracted.
     """
     out = []
-    for i, e, mults in _blocks(A, np.random.default_rng(0x5EED)):
+    for i, e, mults, _ in split_tube_algebra(A, 0x5EED).blocks:
         B = A.blocks[(i, i, i)]
         t = c_morphism_inv(A.spec, (i,), ()).v
         ete = np.einsum("x,y,xyz->z", e, np.einsum("x,y,xyz->z", t, e, B), B)
@@ -503,7 +506,8 @@ def test_twists_from_the_corner_split(specs, su2, tmp_path, name):
     else:
         spec = su2[int(name[4:])] if name.startswith("su2_") else specs[name]
     A = tube_algebra(spec)
-    want = [(b.block_size, b.twist) for b in decompose_tube_algebra(A)]
+    want = [(b.block_size, b.twist)
+            for b in decompose_tube_algebra(split_tube_algebra(A, 0x5EED))]
     assert _same_twists(_corner_twists(A), want)
 
 

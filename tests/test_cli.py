@@ -1,12 +1,13 @@
 import json
 import math
 import re
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-from fcat import cli, load_builtin, tube_compose
+from fcat import category, centre, cli, load_builtin, tube_compose
 from fcat.category import DATA_DIR, load_category
 from fcat.cli import run
 from fcat.tube import tube_from_vector, tube_layout, tube_to_vector
@@ -220,3 +221,78 @@ def test_check_leaves_only_the_known_cache_kinds(tmp_path, monkeypatch):
     kinds = {key if isinstance(key, str) else key[0] for key in loaded[0]._cache}
     assert kinds == {"trees", "tree_index", "factor", "factor_inv", "fmat",
                      "rmat", "bend_scalars", "tube_layout", "tube_algebra"}
+
+
+@pytest.mark.parametrize("command", ["check", "centre"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    assert run([command, _data("vec_z2"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_instances_below_one_is_a_usage_error(capsys, instances):
+    # zero instances would pass every randomized check without running it
+    assert run(["check", _data("vec_z2"), "--instances", instances]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every fcat module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    for key, m in list(sys.modules.items()):
+        if m is not None and (key == "fcat" or key.startswith("fcat.")):
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counted)
+    return calls
+
+
+def test_check_computes_each_value_once(tmp_path, monkeypatch):
+    """Validation, the tube-algebra split and each half-braiding check run once."""
+    path = tmp_path / "su2_2.json"
+    path.write_text(json.dumps(su2k_document(2)))
+    pentagon = _count_calls(monkeypatch, category, "validate_pentagon")
+    hexagon = _count_calls(monkeypatch, category, "validate_hexagon")
+    splits = _count_calls(monkeypatch, centre, "split_tube_algebra")
+    corners = _count_calls(monkeypatch, centre, "_corner_primitives")
+    residuals = _count_calls(monkeypatch, centre, "half_braiding_residual")
+    assert run(["check", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    n = 3
+    assert len(pentagon) == 1 and len(hexagon) == 1
+    assert len(splits) == 1 and len(corners) == n
+    # one residual per eps_xy(I, J) and one per block's normal form
+    assert len(residuals) == n * n + len(splits[0].blocks)
+
+
+def _untimed(capsys, *argv):
+    code, rep = _run(capsys, *argv)
+    del rep["elapsed_ms"], rep["seed"]
+    return code, rep
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z2", "su2_2", "su2_3"])
+def test_completeness_does_not_depend_on_the_seed(tmp_path, capsys, name):
+    if name.startswith("su2_"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(su2k_document(int(name[4:]))))
+        path = str(path)
+    else:
+        path = _data(name)
+    seeds = ([], ["--seed", "1"], ["--seed", "7"])
+    modular = [_untimed(capsys, "modular", path, *s) for s in seeds]
+    assert modular[1] == modular[0] and modular[2] == modular[0]
+    # the other checks draw random instances at the seed; these two must not
+    keep = ["completeness_matches_modularity"] + (
+        ["hom_space_theorem"] if name != "vec_z2" else [])
+    check = []
+    for s in seeds:
+        _, rep = _run(capsys, "check", path, "--instances", "1", *s)
+        check.append([c for c in rep["checks"] if c["name"] in keep])
+    assert [c["name"] for c in check[0]] == keep
+    assert check[1] == check[0] and check[2] == check[0]

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from fcat import (DecompositionFailed, decompose_tube_algebra, hom_dim,
-                  identity, tube_algebra, tube_compose,
+                  identity, split_tube_algebra, tube_algebra, tube_compose,
                   tube_hom_dim, validate_pentagon)
-from fcat.centre import _blocks
 from fcat.tube import TubeMorphism
 
 
@@ -53,7 +52,7 @@ def test_word_carrier_boundary_fails_loudly(s3):
     normal form must say so instead of returning something wrong."""
     A = tube_algebra(s3)
     with pytest.raises(DecompositionFailed, match="no word"):
-        decompose_tube_algebra(A)
+        decompose_tube_algebra(split_tube_algebra(A, 0x5EED))
 
 
 def test_corner_split_gives_the_simples_of_the_double(s3):
@@ -61,7 +60,7 @@ def test_corner_split_gives_the_simples_of_the_double(s3):
     of S3 (sizes 1, 1, 2), the transpositions with those of Z2 (3, 3) and
     the 3-cycles with those of Z3 (2, 2, 2).  The 2-dimensional irrep at
     {e} is the only block with two primitives in one corner."""
-    blocks = _blocks(tube_algebra(s3), np.random.default_rng(0))
-    assert sorted(sum(m.values()) for _, _, m in blocks) == [1, 1, 2, 2, 2, 2, 3, 3]
-    assert [i for i, _, m in blocks if m == {**dict.fromkeys(m, 0), s3.unit: 2}] \
+    blocks = split_tube_algebra(tube_algebra(s3), 0).blocks
+    assert sorted(sum(m.values()) for _, _, m, _ in blocks) == [1, 1, 2, 2, 2, 2, 3, 3]
+    assert [i for i, _, m, _ in blocks if m == {**dict.fromkeys(m, 0), s3.unit: 2}] \
         == [s3.unit]

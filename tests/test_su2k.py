@@ -12,7 +12,7 @@ import pytest
 from fcat import (completeness_check, decompose_tube_algebra,
                   eps_from_half_braiding, eps_xy, half_braiding_from_idempotent,
                   killing_ring_eval, load_builtin, modular_data,
-                  t_matrix, tube_algebra, validate_hexagon, validate_pentagon)
+                  split_tube_algebra, t_matrix, tube_algebra, validate_hexagon, validate_pentagon)
 
 
 def test_loads_and_validates(su2):
@@ -41,7 +41,8 @@ def test_su2_2_completeness(su2):
     spec = su2[2]
     idems = [eps_xy(spec, (i,), (j,)) for i in range(3) for j in range(3)]
     assert max(c.idempotency_residual for c in idems) < 1e-10
-    assert completeness_check(idems)["complete"]
+    split = split_tube_algebra(tube_algebra(spec), 0x5EED)
+    assert completeness_check(idems, split)["complete"]
 
 
 @pytest.mark.parametrize("k,sizes,dim", [
@@ -53,7 +54,7 @@ def test_block_decomposition_and_round_trip(su2, su2_4, k, sizes, dim):
     spec = {**su2, 4: su2_4}[k]
     A = tube_algebra(spec)
     assert A.dim == dim
-    blocks = decompose_tube_algebra(A)
+    blocks = decompose_tube_algebra(split_tube_algebra(A, 0x5EED))
     assert sorted(b.block_size for b in blocks) == sizes
     for b in blocks:
         hb = half_braiding_from_idempotent(b)
